@@ -40,10 +40,10 @@ func main() {
 		grid        = flag.String("grid", "4x4", "region partition of the city as COLSxROWS")
 		verts       = flag.Int("verts", 12, "jittered vertices per region edge")
 		weights     = flag.Bool("weights", false, "attach a weight column (enables SUM/AVG/MIN/MAX)")
-		shards      = flag.Int("shards", 8, "key-range shard count (1 = one unsharded engine behind Do/DoBatch)")
+		shards      = flag.Int("shards", 8, "key-range shard count (1 serves the whole dataset from one shard)")
 		tenantLimit = flag.Int("tenant-limit", 0, "max concurrent requests per tenant; exceeding tenants get 429 (0 = unlimited)")
-		dataDir     = flag.String("data", "", "durable dataset directory: recovered when it holds a manifest, created and persisted otherwise (sharded mode only)")
-		cacheCap    = flag.Int("result-cache", distbound.DefaultResultCacheCapacity, "result cache capacity in entries; repeated identical queries are served without re-executing until a mutation bumps the epoch (0 disables)")
+		dataDir     = flag.String("data", "", "durable dataset directory: recovered when it holds a manifest, created and persisted otherwise")
+		cacheCap    = flag.Int("result-cache", distbound.DefaultResultCacheCapacity, "result cache capacity in entries; repeated identical queries are served without re-executing until a mutation bumps the epoch (0 disables all result caching)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight requests before closing")
 	)
 	flag.Parse()
@@ -100,11 +100,10 @@ func run(addr string, points int, seed int64, grid string, verts int, weights bo
 	return nil
 }
 
-// buildBackend assembles the dataset the server fronts: recovered from
-// dataDir when a manifest is present, synthesized (and, with dataDir,
-// persisted) otherwise. cacheCap re-bounds the result cache the serving
-// layer sits on — the merged scatter-gather cache when sharded, the engine
-// cache when not.
+// buildBackend assembles the sharded dataset the server fronts — any shard
+// count, one included: recovered from dataDir when a manifest is present,
+// synthesized (and, with dataDir, persisted) otherwise. cacheCap bounds the
+// scatter-gather result cache, the only result cache on the serving path.
 func buildBackend(regions []distbound.Region, points int, seed int64, weights bool, shards int, dataDir string, cacheCap int) (serve.Backend, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("distboundd: -shards must be at least 1")
@@ -113,9 +112,6 @@ func buildBackend(regions []distbound.Region, points int, seed int64, weights bo
 		return nil, fmt.Errorf("distboundd: -result-cache must be non-negative")
 	}
 	if dataDir != "" {
-		if shards == 1 {
-			return nil, fmt.Errorf("distboundd: -data requires sharded mode (-shards > 1)")
-		}
 		if _, err := os.Stat(filepath.Join(dataDir, "MANIFEST.json")); err == nil {
 			s, err := shard.Open(regions, dataDir, distbound.PersistConfig{})
 			if err != nil {
@@ -130,15 +126,6 @@ func buildBackend(regions []distbound.Region, points int, seed int64, weights bo
 	pts, ws := data.TaxiPoints(seed, points)
 	if !weights {
 		ws = nil
-	}
-	if shards == 1 {
-		e := distbound.NewEngine(regions)
-		ds, err := e.RegisterPoints("taxi", pts, ws)
-		if err != nil {
-			return nil, fmt.Errorf("distboundd: %w", err)
-		}
-		e.SetResultCacheCapacity(cacheCap)
-		return &serve.UnshardedBackend{E: e, DS: ds}, nil
 	}
 	s, _, err := shard.New("taxi", regions, pts, ws, shards)
 	if err != nil {

@@ -105,7 +105,7 @@ func main() {
 
 		calibrate = flag.Bool("calibrate", false, "load mode: fit the planner's cost model to this host before the run and report the constants plus a calibrated-vs-default strategy diff")
 
-		serveMode  = flag.Bool("serve", false, "serve mode: drive distboundd over HTTP — spawns a sharded and an unsharded server in-process for a head-to-head unless -serveurl targets a running daemon")
+		serveMode  = flag.Bool("serve", false, "serve mode: drive distboundd over HTTP — spawns a -shards server and a 1-shard server in-process for a head-to-head unless -serveurl targets a running daemon")
 		serveURL   = flag.String("serveurl", "", "serve mode: base URL of a running distboundd (e.g. http://127.0.0.1:7080) instead of in-process servers")
 		shardCount = flag.Int("shards", 8, "serve mode: key-range shard count for the in-process sharded server")
 		batchLines = flag.Int("batchlines", 256, "serve mode: NDJSON lines in the streamed-batch measurement")

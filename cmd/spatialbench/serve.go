@@ -21,9 +21,10 @@ import (
 
 // serveConfig is the -serve client mode: drive a distboundd over HTTP with
 // the load-generator shapes and report client-observed throughput and
-// latency. Without -serveurl it spawns two in-process servers — one sharded,
-// one unsharded over Do/DoBatch — on loopback listeners and reports the
-// head-to-head; with -serveurl it drives the running daemon instead.
+// latency. Without -serveurl it spawns two in-process servers — one over
+// -shards shards, one over a single shard, both through shard.Sharded — on
+// loopback listeners and reports the head-to-head; with -serveurl it drives
+// the running daemon instead.
 type serveConfig struct {
 	seed        int64
 	numPoints   int
@@ -122,15 +123,10 @@ func runServe(cfg serveConfig) error {
 }
 
 // buildServeBackend assembles one head-to-head side over the shared
-// workload.
+// workload; the "unsharded" side is the same serving path over one shard.
 func buildServeBackend(mode string, regions []distbound.Region, pts []distbound.Point, ws []float64, shards int) (serve.Backend, int, error) {
 	if mode == "unsharded" {
-		e := distbound.NewEngine(regions)
-		ds, err := e.RegisterPoints("bench", pts, ws)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &serve.UnshardedBackend{E: e, DS: ds}, 1, nil
+		shards = 1
 	}
 	s, _, err := shard.New("bench", regions, pts, ws, shards)
 	if err != nil {

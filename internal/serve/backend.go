@@ -2,21 +2,18 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"distbound"
 	"distbound/internal/cache"
 	"distbound/internal/shard"
 )
 
-// Backend is what the handlers serve: either a sharded dataset
-// (scatter-gather over shard.Sharded.Do) or a single resident dataset
-// (Engine.Do / Engine.DoBatch on the point-index strategy). Both speak
-// shard.Request/Response so the handlers, metrics and clients are
-// indifferent to the partition width — an unsharded backend just always
-// reports a 1/1 fan-out.
+// Backend is what the handlers serve. distboundd serves every shard count,
+// one included, through ShardedBackend; the interface lets tests and
+// benchmarks wrap or stub it. It speaks shard.Request/Response, so the
+// handlers, metrics and clients are indifferent to the partition width.
 type Backend interface {
-	// Mode names the backend ("sharded" or "unsharded") for stats.
+	// Mode names the backend for stats ("sharded" for ShardedBackend).
 	Mode() string
 	// Query answers one aggregation request under ctx.
 	Query(ctx context.Context, req shard.Request) (shard.Response, error)
@@ -30,8 +27,8 @@ type Backend interface {
 	// Epoch is the dataset's mutation counter (the per-shard sum on a
 	// sharded backend) — the result cache's invalidation currency.
 	Epoch() uint64
-	// ResultCacheStats reports the backend's result-cache counters: the
-	// merged scatter-gather cache when sharded, the engine cache when not.
+	// ResultCacheStats reports the counters of the backend's one result
+	// cache: for ShardedBackend, the merged cache above the fan-out.
 	ResultCacheStats() cache.Stats
 	// Describe fills the dataset half of a stats response.
 	Describe(st *StatsResponse)
@@ -86,122 +83,3 @@ func (b *ShardedBackend) Describe(st *StatsResponse) {
 }
 
 func (b *ShardedBackend) Close() { b.S.Close() }
-
-// UnshardedBackend serves one resident dataset through Engine.Do and
-// Engine.DoBatch, pinned to the point-index strategy — the same physical
-// plan the shards run, so a sharded-vs-unsharded head-to-head measures the
-// partitioning, not a plan change.
-type UnshardedBackend struct {
-	E  *distbound.Engine
-	DS *distbound.Dataset
-}
-
-func (b *UnshardedBackend) Mode() string { return "unsharded" }
-
-// engineRequest maps the serving currency onto a distbound.Request.
-func (b *UnshardedBackend) engineRequest(req shard.Request) (distbound.Request, error) {
-	if !(req.Bound > 0) {
-		return distbound.Request{}, fmt.Errorf("serving requires a positive bound, got %v", req.Bound)
-	}
-	strat := distbound.StrategyPointIdx
-	return distbound.Request{
-		Dataset:     b.DS,
-		Aggs:        req.Aggs,
-		Bound:       req.Bound,
-		Repetitions: req.Repetitions,
-		Strategy:    &strat,
-		Workers:     req.Workers,
-	}, nil
-}
-
-// detach deep-copies a pooled engine response into the serving currency and
-// releases the original, so handlers may hold results past the next query.
-func detach(resp distbound.Response) shard.Response {
-	out := shard.Response{
-		ShardsContacted: 1,
-		ShardsTotal:     1,
-		RangesProbed:    resp.RangesProbed,
-		DeltaProbed:     resp.DeltaProbed,
-		Wall:            resp.Wall,
-		Results:         make([]distbound.Result, len(resp.Results)),
-	}
-	for i, r := range resp.Results {
-		out.Results[i] = distbound.Result{
-			Agg:    r.Agg,
-			Counts: append([]int64(nil), r.Counts...),
-		}
-		if r.Sums != nil {
-			out.Results[i].Sums = append([]float64(nil), r.Sums...)
-		}
-		if r.Extremes != nil {
-			out.Results[i].Extremes = append([]float64(nil), r.Extremes...)
-		}
-	}
-	resp.Release()
-	return out
-}
-
-func (b *UnshardedBackend) Query(ctx context.Context, req shard.Request) (shard.Response, error) {
-	er, err := b.engineRequest(req)
-	if err != nil {
-		return shard.Response{}, err
-	}
-	resp, err := b.E.Do(ctx, er)
-	if err != nil {
-		return shard.Response{}, err
-	}
-	return detach(resp), nil
-}
-
-func (b *UnshardedBackend) Batch(ctx context.Context, reqs []shard.Request) ([]shard.Response, []error) {
-	out := make([]shard.Response, len(reqs))
-	errs := make([]error, len(reqs))
-	ers := make([]distbound.Request, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
-	for i := range reqs {
-		er, err := b.engineRequest(reqs[i])
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		ers = append(ers, er)
-		idx = append(idx, i)
-	}
-	if len(ers) == 0 {
-		return out, errs
-	}
-	resps, err := b.E.DoBatch(ctx, ers, 0)
-	if err != nil {
-		for _, i := range idx {
-			errs[i] = err
-		}
-		return out, errs
-	}
-	for k, i := range idx {
-		if resps[k].Err != nil {
-			errs[i] = resps[k].Err
-			continue
-		}
-		out[i] = detach(resps[k])
-	}
-	return out, errs
-}
-
-func (b *UnshardedBackend) Append(pts []distbound.Point, weights []float64) ([]uint64, error) {
-	return b.DS.Append(pts, weights)
-}
-
-func (b *UnshardedBackend) Epoch() uint64 { return b.DS.Epoch() }
-
-func (b *UnshardedBackend) ResultCacheStats() cache.Stats { return b.E.ResultCacheStats() }
-
-func (b *UnshardedBackend) Describe(st *StatsResponse) {
-	s := b.DS.Stats()
-	st.Dataset = b.DS.Name()
-	st.Regions = b.E.NumRegions()
-	st.Live = s.Live
-	st.Dropped = b.DS.Dropped()
-	st.MemoryBytes = b.DS.MemoryBytes()
-}
-
-func (b *UnshardedBackend) Close() { b.E.UnregisterPoints(b.DS.Name()) }

@@ -101,17 +101,16 @@ func TestQueryMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestShardedUnshardedHTTPParity: the two backend modes must serve
-// identical counts for the same workload over the wire.
+// TestShardedUnshardedHTTPParity: a 4-shard and a 1-shard backend over the
+// same workload must serve identical counts and values over the wire.
 func TestShardedUnshardedHTTPParity(t *testing.T) {
 	ts, regions, pts, ws := newShardedTS(t, 0)
 
-	e := distbound.NewEngine(regions)
-	ds, err := e.RegisterPoints("taxi", pts, ws)
+	one, _, err := shard.New("taxi", regions, pts, ws, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	usrv := NewServer(&UnshardedBackend{E: e, DS: ds}, 0)
+	usrv := NewServer(&ShardedBackend{S: one}, 0)
 	uts := httptest.NewServer(usrv.Handler())
 	defer func() { uts.Close(); usrv.Close() }()
 
@@ -126,17 +125,17 @@ func TestShardedUnshardedHTTPParity(t *testing.T) {
 		t.Fatalf("%v in %s", err, uBody)
 	}
 	if uq.ShardsTotal != 1 || uq.ShardsContacted != 1 {
-		t.Fatalf("unsharded fan-out %d/%d", uq.ShardsContacted, uq.ShardsTotal)
+		t.Fatalf("1-shard fan-out %d/%d", uq.ShardsContacted, uq.ShardsTotal)
 	}
 	for k := range sq.Results {
 		for ri := range regions {
 			if sq.Results[k].Counts[ri] != uq.Results[k].Counts[ri] {
-				t.Fatalf("agg %s region %d: sharded count %d, unsharded %d",
+				t.Fatalf("agg %s region %d: 4-shard count %d, 1-shard %d",
 					sq.Results[k].Agg, ri, sq.Results[k].Counts[ri], uq.Results[k].Counts[ri])
 			}
 			// ExactWeights make even SUM/AVG bitwise comparable.
 			if sq.Results[k].Values[ri] != uq.Results[k].Values[ri] {
-				t.Fatalf("agg %s region %d: sharded %v, unsharded %v",
+				t.Fatalf("agg %s region %d: 4-shard %v, 1-shard %v",
 					sq.Results[k].Agg, ri, sq.Results[k].Values[ri], uq.Results[k].Values[ri])
 			}
 		}

@@ -60,8 +60,8 @@ type AggResult struct {
 // answering a batch. A batch line that failed carries Error and no Results.
 type QueryResponse struct {
 	Results []AggResult `json:"results,omitempty"`
-	// ShardsContacted / ShardsTotal report the routing economy (1/1 on an
-	// unsharded backend).
+	// ShardsContacted / ShardsTotal report the routing economy: how many
+	// shards this request contacted (0 on a result-cache hit) out of how many.
 	ShardsContacted int `json:"shards_contacted"`
 	ShardsTotal     int `json:"shards_total"`
 	// WallNs is the backend execution time in nanoseconds.

@@ -123,7 +123,7 @@ func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (
 			return nil, fmt.Errorf("shard: shard %d owns malformed interval [%d, %d]", i, ms.Lo, ms.Hi)
 		}
 		prevHi = ms.Hi
-		e := distbound.NewEngine(regions)
+		e := newShardEngine(regions)
 		ds, err := e.OpenDataset(m.Name, filepath.Join(dir, ms.Dir), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)

@@ -80,8 +80,9 @@ type Sharded struct {
 	maxFan   atomic.Uint64
 
 	// results caches merged scatter-gather responses above the fan-out: a
-	// hit skips routing, the per-shard queries and the merge entirely.
-	// Invalidation is epoch-sum based — see resultKey.
+	// hit skips routing, the per-shard queries and the merge entirely. It is
+	// the only result cache — every shard engine runs with its own disabled
+	// (see newShardEngine). Invalidation is epoch-sum based — see resultKey.
 	results *cache.ShardedLRU[resultKey, *Response]
 }
 
@@ -222,7 +223,7 @@ func New(name string, regions []distbound.Region, pts []distbound.Point, weights
 			}
 			ids[pr.idx] = globalID(si, uint64(k))
 		}
-		e := distbound.NewEngine(regions)
+		e := newShardEngine(regions)
 		ds, err := e.RegisterPoints(name, shardPts, shardWs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard: registering shard %d: %w", si, err)
@@ -230,6 +231,16 @@ func New(name string, regions []distbound.Region, pts []distbound.Point, weights
 		s.shards = append(s.shards, shardState{engine: e, ds: ds, lo: lo, hi: hi})
 	}
 	return s, ids, nil
+}
+
+// newShardEngine builds one shard's engine over regions with its result
+// cache disabled: a per-shard cache below the merged one would copy every
+// partial on a miss and almost never hit, and would keep caching when the
+// merged cache is switched off.
+func newShardEngine(regions []distbound.Region) *distbound.Engine {
+	e := distbound.NewEngine(regions)
+	e.SetResultCacheCapacity(0)
+	return e
 }
 
 // globalID packs a shard index and shard-local point ID into the sharded
@@ -279,8 +290,9 @@ type Request struct {
 	// Repetitions is the planner amortization hint forwarded to each shard.
 	Repetitions int
 	// Workers bounds how many shards are queried concurrently (≤ 0 selects
-	// GOMAXPROCS); each contacted shard runs its join single-threaded — the
-	// scatter is the parallelism, mirroring DoBatch.
+	// GOMAXPROCS). When the query contacts several shards, each runs its
+	// join single-threaded — the scatter is the parallelism, mirroring
+	// DoBatch; when it contacts exactly one, that shard's join gets Workers.
 	Workers int
 }
 
@@ -290,10 +302,12 @@ type Response struct {
 	// aligned with Request.Aggs, each spanning every region.
 	Results []distbound.Result
 	// ShardsContacted / ShardsTotal measure the routing economy: how many
-	// shards the cover plan intersected vs the partition width.
+	// shards this call contacted vs the partition width. A result-cache hit
+	// contacts none and reports 0.
 	ShardsContacted int
 	ShardsTotal     int
-	// RangesProbed / DeltaProbed sum the contacted shards' probe counters.
+	// RangesProbed / DeltaProbed sum the contacted shards' probe counters;
+	// a hit reports those of the execution that filled the entry.
 	RangesProbed int
 	DeltaProbed  int
 	// Wall is the whole scatter-gather's execution time.
@@ -316,12 +330,13 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// scatter could have observed — the same pre-execution keying argument as
 	// the engine's cache. A hit's Results are the cached entry's own slices;
 	// callers must treat them as read-only, which every merge/wire consumer
-	// does.
+	// does. A hit contacts no shard, and says so.
 	key, cacheable := s.cacheKey(req)
 	if cacheable {
 		if c, ok := s.results.Get(key); ok {
 			s.queries.Add(1)
 			out := *c
+			out.ShardsContacted = 0
 			out.Wall = time.Since(t0)
 			return out, nil
 		}
@@ -357,8 +372,14 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 
 	// Scatter: every contacted shard runs the resident point-index strategy
 	// — the one whose per-shard answers merge with the documented identity
-	// guarantees — with a single-threaded join each.
+	// guarantees. A wide scatter runs a single-threaded join per shard; a
+	// lone contacted shard takes the request's Workers instead. Results do
+	// not depend on the worker count (fold-order contract).
 	strat := distbound.StrategyPointIdx
+	joinWorkers := 1
+	if len(contacted) == 1 {
+		joinWorkers = req.Workers
+	}
 	parts := make([]distbound.Response, len(contacted))
 	err = pool.RunCtx(ctx, len(contacted), pool.Workers(req.Workers, len(contacted)), func(_, i int) error {
 		sh := &s.shards[contacted[i]]
@@ -368,7 +389,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 			Bound:       req.Bound,
 			Repetitions: req.Repetitions,
 			Strategy:    &strat,
-			Workers:     1,
+			Workers:     joinWorkers,
 		})
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", contacted[i], err)
@@ -423,8 +444,8 @@ func (s *Sharded) cacheKey(req Request) (resultKey, bool) {
 }
 
 // SetResultCacheCapacity re-bounds the scatter-gather result cache; 0
-// disables it. The per-shard engines keep their own result caches — this
-// governs only the merged layer above the fan-out.
+// disables it. The shard engines cache no results of their own, so with 0
+// every query re-executes on every contacted shard.
 func (s *Sharded) SetResultCacheCapacity(n int) { s.results.SetCapacity(n) }
 
 // CacheStats reports the scatter-gather result cache's hit/miss/eviction

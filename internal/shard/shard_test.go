@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"distbound"
+	"distbound/internal/cache"
 	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/testutil"
@@ -78,21 +79,29 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // TestShardedWorkerInvariance: the gather merges in ascending shard order
-// regardless of scatter width, so any Workers setting yields bitwise the
-// same answer.
+// regardless of scatter width, and a lone contacted shard's join is
+// worker-count independent, so any Workers setting yields bitwise the same
+// answer. The result cache is off so every Workers setting executes; the
+// 1-shard input takes the branch that hands Workers to the shard's join.
 func TestShardedWorkerInvariance(t *testing.T) {
-	s, _, _, _, _, _, _ := fixture(t, 9, 6000, 6)
-	base, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{-1, 0, 3, 16} {
-		got, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64, Workers: w})
+	for _, n := range []int{6, 1} {
+		s, _, _, _, _, _, _ := fixture(t, 9, 6000, n)
+		s.SetResultCacheCapacity(0)
+		base, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, agg := range allAggs {
-			testutil.CheckIdentical(t, fmt.Sprintf("workers=%d agg=%v", w, agg), base.Results[k], got.Results[k])
+		if n == 1 && base.ShardsContacted != 1 {
+			t.Fatalf("1-shard query contacted %d shards", base.ShardsContacted)
+		}
+		for _, w := range []int{-1, 0, 3, 16} {
+			got, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, agg := range allAggs {
+				testutil.CheckIdentical(t, fmt.Sprintf("shards=%d workers=%d agg=%v", n, w, agg), base.Results[k], got.Results[k])
+			}
 		}
 	}
 }
@@ -305,12 +314,18 @@ func TestRoute(t *testing.T) {
 
 // TestShardedPersistOpen round-trips the partition through disk: persist,
 // close, open, and the recovered Sharded must answer identically and stay
-// mutable/durable.
+// mutable/durable — for a real partition and for a single shard.
 func TestShardedPersistOpen(t *testing.T) {
+	for _, n := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { testPersistOpen(t, n) })
+	}
+}
+
+func testPersistOpen(t *testing.T, n int) {
 	regions := data.Regions(data.Partition(5, 4, 4, 12))
 	pts, _ := data.TaxiPoints(31, 3000)
 	ws := testutil.ExactWeights(rand.New(rand.NewSource(32)), len(pts))
-	s, _, err := New("taxi", regions, pts, ws, 4)
+	s, _, err := New("taxi", regions, pts, ws, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +357,8 @@ func TestShardedPersistOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.NumShards() != 4 || !re.HasWeights() {
-		t.Fatalf("recovered %d shards, weights=%v", re.NumShards(), re.HasWeights())
+	if re.NumShards() != n || !re.HasWeights() {
+		t.Fatalf("recovered %d shards, want %d; weights=%v", re.NumShards(), n, re.HasWeights())
 	}
 	after, err := re.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
 	if err != nil {
@@ -420,7 +435,7 @@ func TestShardedValidation(t *testing.T) {
 
 // TestShardedResultCache pins the scatter-gather result cache's contract:
 // a repeated identical query is served from the cache (no new shard
-// contacts), any mutation on any shard moves the epoch sum and strands the
+// contacts, and the response says 0 contacted), any mutation on any shard moves the epoch sum and strands the
 // entry, and a cached answer is bit-identical to the executed one and to the
 // unsharded oracle.
 func TestShardedResultCache(t *testing.T) {
@@ -448,8 +463,9 @@ func TestShardedResultCache(t *testing.T) {
 	if got := s.Stats().ContactedTotal; got != contacts0 {
 		t.Fatalf("cache hit still contacted shards: %d -> %d", contacts0, got)
 	}
-	if warm.ShardsContacted != cold.ShardsContacted || warm.RangesProbed != cold.RangesProbed {
-		t.Fatalf("hit altered routing stats: cold %+v warm %+v", cold, warm)
+	if cold.ShardsContacted == 0 || warm.ShardsContacted != 0 || warm.RangesProbed != cold.RangesProbed {
+		t.Fatalf("hit reported %d shards contacted, %d ranges; cold query %d, %d (want 0 contacted, equal ranges)",
+			warm.ShardsContacted, warm.RangesProbed, cold.ShardsContacted, cold.RangesProbed)
 	}
 	want := unshardedDo(t, e, ds, allAggs, 64)
 	for k, agg := range allAggs {
@@ -545,4 +561,62 @@ func TestShardedResultCache(t *testing.T) {
 	if st := s.CacheStats(); st.Hits != frozen.Hits || st.Misses != frozen.Misses {
 		t.Fatalf("disabled cache still probed: %+v -> %+v", frozen, st)
 	}
+}
+
+// TestShardedResultCacheOff: capacity 0 on the scatter-gather cache means no
+// layer caches. Every repeat of a query re-executes on the shards, and no
+// shard engine's result cache records a single lookup — for a New-built and
+// for an Open-recovered Sharded.
+func TestShardedResultCacheOff(t *testing.T) {
+	regions := data.Regions(data.Partition(5, 4, 4, 12))
+	pts, _ := data.TaxiPoints(51, 4000)
+	ws := testutil.ExactWeights(rand.New(rand.NewSource(52)), len(pts))
+	built, _, err := New("taxi", regions, pts, ws, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Persist(dir, distbound.PersistConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, s *Sharded) {
+		t.Helper()
+		s.SetResultCacheCapacity(0)
+		req := Request{Aggs: allAggs, Bound: 64, Workers: 2}
+		var first Response
+		for i := 0; i < 4; i++ {
+			contacts := s.Stats().ContactedTotal
+			resp, err := s.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.ShardsContacted == 0 || s.Stats().ContactedTotal != contacts+uint64(resp.ShardsContacted) {
+				t.Fatalf("%s: repeat %d did not re-execute (contacted %d)", name, i, resp.ShardsContacted)
+			}
+			if i == 0 {
+				first = resp
+				continue
+			}
+			for k, agg := range allAggs {
+				testutil.CheckIdentical(t, fmt.Sprintf("%s repeat %d agg=%v", name, i, agg), first.Results[k], resp.Results[k])
+			}
+		}
+		if st := s.CacheStats(); st != (cache.Stats{}) {
+			t.Fatalf("%s: disabled scatter-gather cache counted %+v", name, st)
+		}
+		for i := range s.shards {
+			if st := s.shards[i].engine.ResultCacheStats(); st != (cache.Stats{}) {
+				t.Fatalf("%s: shard %d engine result cache counted %+v", name, i, st)
+			}
+		}
+	}
+	check("New", built)
+	built.Close()
+
+	re, err := Open(regions, dir, distbound.PersistConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("Open", re)
 }
