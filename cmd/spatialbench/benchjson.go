@@ -24,7 +24,6 @@ type benchJSON struct {
 	Comparisons   []pathComparison      `json:"resident_vs_streaming,omitempty"`
 	MultiAgg      []multiAggComparison  `json:"multiagg_vs_sequential,omitempty"`
 	CoverPlan     []coverPlanComparison `json:"coverplan_vs_perregion,omitempty"`
-	Calibration   *calibrationJSON      `json:"calibration,omitempty"`
 	Persistence   *persistenceJSON      `json:"persistence,omitempty"`
 	ResultCache   *cacheBenchJSON       `json:"result_cache,omitempty"`
 }
@@ -50,8 +49,7 @@ func writeBenchJSON(cfg loadConfig, queries int, elapsed time.Duration,
 	pct func(float64) time.Duration, max time.Duration,
 	strategies map[distbound.Strategy]int, comparisons []pathComparison,
 	multiAggs []multiAggComparison, coverPlans []coverPlanComparison,
-	calibration *calibrationJSON, persistence *persistenceJSON,
-	cacheBench *cacheBenchJSON) error {
+	persistence *persistenceJSON, cacheBench *cacheBenchJSON) error {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 	name := "spatialbench-load"
 	queryPoints := cfg.queryPoints
@@ -99,7 +97,6 @@ func writeBenchJSON(cfg loadConfig, queries int, elapsed time.Duration,
 	doc.Comparisons = comparisons
 	doc.MultiAgg = multiAggs
 	doc.CoverPlan = coverPlans
-	doc.Calibration = calibration
 	doc.Persistence = persistence
 	doc.ResultCache = cacheBench
 	out, err := json.MarshalIndent(doc, "", "  ")

@@ -19,12 +19,13 @@ import (
 // runIngest executes the mixed append/query workload of -ingest: half the
 // point pool is registered up front, a writer goroutine appends the other
 // half in batches (periodically deleting a slice of what it appended) while
-// reader goroutines drive AggregateDataset, and auto-compaction folds the
-// delta back into the sorted base whenever it crosses the threshold. The run
-// reports query throughput and latency percentiles, append-pause
-// percentiles (appends and deletes block during a compaction merge; queries
-// never do), the strategy mix, and the dataset's compaction accounting —
-// then self-checks that one more compaction changes no aggregate.
+// reader goroutines query the dataset through Engine.Do, and auto-compaction
+// folds the delta back into the sorted base whenever it crosses the
+// threshold. The run reports query throughput and latency percentiles,
+// append-pause percentiles (appends and deletes block during a compaction
+// merge; queries never do), the strategy mix, and the dataset's compaction
+// accounting — then self-checks that one more compaction changes no
+// aggregate.
 func runIngest(cfg loadConfig) error {
 	fmt.Printf("ingest mode: %d readers + 1 writer, %v, %d-point pool (half resident, half streamed in), %d regions, bounds %v, agg %v, batch %d, compaction threshold %d\n",
 		cfg.concurrency, cfg.duration, cfg.numPoints, cfg.censusCount, cfg.bounds, cfg.agg, cfg.ingestBatch, cfg.compactThreshold)
@@ -232,9 +233,18 @@ func runIngest(cfg loadConfig) error {
 // averages up to float reassociation.
 func verifyIngestEndState(e *distbound.Engine, ds *distbound.Dataset, bound float64, cfg loadConfig) error {
 	aggs := []distbound.Agg{distbound.Count, distbound.Sum, distbound.Avg, distbound.Min, distbound.Max}
+	do := func(agg distbound.Agg) (distbound.Result, error) {
+		resp, err := e.Do(context.Background(), distbound.Request{
+			Dataset: ds, Aggs: []distbound.Agg{agg}, Bound: bound, Repetitions: cfg.repetitions,
+		})
+		if err != nil {
+			return distbound.Result{}, err
+		}
+		return resp.Results[0], nil
+	}
 	before := map[distbound.Agg]distbound.Result{}
 	for _, agg := range aggs {
-		res, _, err := e.AggregateDataset(ds, agg, bound, cfg.repetitions)
+		res, err := do(agg)
 		if err != nil {
 			return fmt.Errorf("end-state %v: %w", agg, err)
 		}
@@ -244,7 +254,7 @@ func verifyIngestEndState(e *distbound.Engine, ds *distbound.Dataset, bound floa
 	ds.Compact()
 	fmt.Printf("final compaction: %v (generation %d)\n", time.Since(t0).Round(time.Millisecond), ds.Generation())
 	for _, agg := range aggs {
-		after, _, err := e.AggregateDataset(ds, agg, bound, cfg.repetitions)
+		after, err := do(agg)
 		if err != nil {
 			return fmt.Errorf("post-compaction %v: %w", agg, err)
 		}

@@ -55,11 +55,6 @@ type loadConfig struct {
 	// under region-count sharding.
 	skew float64
 
-	// calibrate fits the planner's cost model to this host before the load
-	// phase and reports the fitted constants plus a calibrated-vs-default
-	// strategy diff.
-	calibrate bool
-
 	// cache runs the repeated-workload result-cache benchmark: a Zipf mix of
 	// request shapes driven twice — cache off, then cache on — reporting hit
 	// rate and cached-vs-executed latency. Outside -cache mode the result
@@ -139,62 +134,67 @@ func (cfg loadConfig) querySlice(ps distbound.PointSet, rng *rand.Rand) distboun
 }
 
 // verifyPaths checks, per bound, that the sequential, parallel and batched
-// execution paths return identical counts on one shared warm engine.
-func verifyPaths(e *distbound.Engine, ps distbound.PointSet, cfg loadConfig) error {
+// execution paths over one target — target's Points or Dataset — return
+// identical counts and values on one shared warm engine. label names the
+// target in errors. A dataset target skips exact bounds, which stream the
+// whole dataset and never touch the resident index.
+func verifyPaths(e *distbound.Engine, target distbound.Request, label string, cfg loadConfig) error {
+	ctx := context.Background()
 	for _, bound := range cfg.bounds {
+		if target.Dataset != nil && bound <= 0 {
+			continue
+		}
+		req := target
+		req.Aggs, req.Bound, req.Repetitions = []distbound.Agg{cfg.agg}, bound, cfg.repetitions
 		// Warm twice so caches and plans are stable before comparing.
 		for i := 0; i < 2; i++ {
-			if _, _, err := e.Aggregate(ps, cfg.agg, bound, cfg.repetitions); err != nil {
-				return fmt.Errorf("warmup bound %g: %w", bound, err)
+			if _, err := e.Do(ctx, req); err != nil {
+				return fmt.Errorf("%s warmup bound %g: %w", label, bound, err)
 			}
 		}
 		e.SetWorkers(1)
-		seq, seqStrat, err := e.Aggregate(ps, cfg.agg, bound, cfg.repetitions)
+		seq, err := e.Do(ctx, req)
 		if err != nil {
-			return fmt.Errorf("sequential bound %g: %w", bound, err)
+			return fmt.Errorf("%s sequential bound %g: %w", label, bound, err)
 		}
 		e.SetWorkers(0)
-		par, parStrat, err := e.Aggregate(ps, cfg.agg, bound, cfg.repetitions)
+		par, err := e.Do(ctx, req)
 		if err != nil {
-			return fmt.Errorf("parallel bound %g: %w", bound, err)
+			return fmt.Errorf("%s parallel bound %g: %w", label, bound, err)
 		}
-		// A single-query batch earns no same-bound sharing credit, so it
+		// A single-request batch earns no same-bound sharing credit, so it
 		// plans with exactly the same effective repetitions as the
 		// sequential call — count equality compares like with like for any
 		// -reps value, including 1.
-		batch := e.AggregateBatch([]distbound.BatchQuery{
-			{Points: ps, Agg: cfg.agg, Bound: bound, Repetitions: cfg.repetitions},
-		}, 1)
-		for i, r := range batch {
-			if r.Err != nil {
-				return fmt.Errorf("batched bound %g query %d: %w", bound, i, r.Err)
-			}
+		batch, err := e.DoBatch(ctx, []distbound.Request{req}, 1)
+		if err == nil {
+			err = batch[0].Err
 		}
-		if seqStrat != parStrat {
-			return fmt.Errorf("bound %g: strategy drifted between sequential (%v) and parallel (%v)",
-				bound, seqStrat, parStrat)
+		if err != nil {
+			return fmt.Errorf("%s batched bound %g: %w", label, bound, err)
+		}
+		if seq.Strategy != par.Strategy {
+			return fmt.Errorf("%s bound %g: strategy drifted between sequential (%v) and parallel (%v)",
+				label, bound, seq.Strategy, par.Strategy)
 		}
 		// Count equality is only promised plan-for-plan; with identical
 		// effective repetitions and warm caches, the batch must plan the
 		// sequential strategy — anything else is a real planning bug.
-		if batch[0].Strategy != seqStrat {
-			return fmt.Errorf("bound %g: batched query planned %v, sequential planned %v",
-				bound, batch[0].Strategy, seqStrat)
+		if batch[0].Strategy != seq.Strategy {
+			return fmt.Errorf("%s bound %g: batched query planned %v, sequential planned %v",
+				label, bound, batch[0].Strategy, seq.Strategy)
 		}
-		for ri := range seq.Counts {
-			if seq.Counts[ri] != par.Counts[ri] {
-				return fmt.Errorf("bound %g region %d: parallel count %d != sequential %d",
-					bound, ri, par.Counts[ri], seq.Counts[ri])
+		s, p, b := seq.Results[0], par.Results[0], batch[0].Results[0]
+		for ri := range s.Counts {
+			if p.Counts[ri] != s.Counts[ri] || b.Counts[ri] != s.Counts[ri] {
+				return fmt.Errorf("%s bound %g region %d: counts disagree (seq %d par %d batch %d)",
+					label, bound, ri, s.Counts[ri], p.Counts[ri], b.Counts[ri])
 			}
-			if err := valuesMatch(cfg.agg, seq, par, ri); err != nil {
-				return fmt.Errorf("bound %g region %d parallel: %w", bound, ri, err)
+			if err := valuesMatch(cfg.agg, s, p, ri); err != nil {
+				return fmt.Errorf("%s bound %g region %d parallel: %w", label, bound, ri, err)
 			}
-			if batch[0].Result.Counts[ri] != seq.Counts[ri] {
-				return fmt.Errorf("bound %g region %d: batched count %d != sequential %d",
-					bound, ri, batch[0].Result.Counts[ri], seq.Counts[ri])
-			}
-			if err := valuesMatch(cfg.agg, seq, batch[0].Result, ri); err != nil {
-				return fmt.Errorf("bound %g region %d batched: %w", bound, ri, err)
+			if err := valuesMatch(cfg.agg, s, b, ri); err != nil {
+				return fmt.Errorf("%s bound %g region %d batched: %w", label, bound, ri, err)
 			}
 		}
 	}
@@ -221,59 +221,6 @@ func valuesMatch(agg distbound.Agg, want, got distbound.Result, ri int) error {
 	return nil
 }
 
-// verifyResident checks, per bound, that the sequential, parallel and
-// batched resident paths return bit-identical results (per-region probes
-// are deterministic for any worker count).
-func verifyResident(e *distbound.Engine, ds *distbound.Dataset, cfg loadConfig) error {
-	for _, bound := range cfg.bounds {
-		if bound <= 0 {
-			continue
-		}
-		for i := 0; i < 2; i++ { // warm covers and plans
-			if _, _, err := e.AggregateDataset(ds, cfg.agg, bound, cfg.repetitions); err != nil {
-				return fmt.Errorf("resident warmup bound %g: %w", bound, err)
-			}
-		}
-		e.SetWorkers(1)
-		seq, seqStrat, err := e.AggregateDataset(ds, cfg.agg, bound, cfg.repetitions)
-		if err != nil {
-			return fmt.Errorf("resident sequential bound %g: %w", bound, err)
-		}
-		e.SetWorkers(0)
-		par, parStrat, err := e.AggregateDataset(ds, cfg.agg, bound, cfg.repetitions)
-		if err != nil {
-			return fmt.Errorf("resident parallel bound %g: %w", bound, err)
-		}
-		if seqStrat != parStrat {
-			return fmt.Errorf("resident bound %g: strategy drifted between sequential (%v) and parallel (%v)",
-				bound, seqStrat, parStrat)
-		}
-		batch := e.AggregateBatch([]distbound.BatchQuery{
-			{Dataset: ds, Agg: cfg.agg, Bound: bound, Repetitions: cfg.repetitions},
-		}, 1)
-		if batch[0].Err != nil {
-			return fmt.Errorf("resident batched bound %g: %w", bound, batch[0].Err)
-		}
-		if batch[0].Strategy != seqStrat {
-			return fmt.Errorf("resident bound %g: batched query planned %v, sequential planned %v",
-				bound, batch[0].Strategy, seqStrat)
-		}
-		for ri := range seq.Counts {
-			if par.Counts[ri] != seq.Counts[ri] || batch[0].Result.Counts[ri] != seq.Counts[ri] {
-				return fmt.Errorf("resident bound %g region %d: counts disagree (seq %d par %d batch %d)",
-					bound, ri, seq.Counts[ri], par.Counts[ri], batch[0].Result.Counts[ri])
-			}
-			if err := valuesMatch(cfg.agg, seq, par, ri); err != nil {
-				return fmt.Errorf("resident bound %g region %d parallel: %w", bound, ri, err)
-			}
-			if err := valuesMatch(cfg.agg, seq, batch[0].Result, ri); err != nil {
-				return fmt.Errorf("resident bound %g region %d batched: %w", bound, ri, err)
-			}
-		}
-	}
-	return nil
-}
-
 // pathComparison is one bound's repetition-heavy head-to-head between the
 // streaming and resident paths.
 type pathComparison struct {
@@ -285,11 +232,12 @@ type pathComparison struct {
 	Speedup           float64 `json:"speedup"`
 }
 
-// compareResident times the streaming Aggregate path against the resident
-// AggregateDataset path on the full pool, per bound, on warm caches — the
-// repetition-heavy serving scenario the resident strategy exists for.
+// compareResident times Do over the full ad-hoc pool against Do over the
+// resident dataset, per bound, on warm caches — the repetition-heavy
+// serving scenario the resident strategy exists for.
 func compareResident(e *distbound.Engine, ds *distbound.Dataset, pool distbound.PointSet, cfg loadConfig) []pathComparison {
 	const reps = 5
+	ctx := context.Background()
 	var out []pathComparison
 	for _, bound := range cfg.bounds {
 		if bound <= 0 {
@@ -297,39 +245,37 @@ func compareResident(e *distbound.Engine, ds *distbound.Dataset, pool distbound.
 		}
 		var c pathComparison
 		c.Bound = bound
+		aggs := []distbound.Agg{cfg.agg}
+		streaming := distbound.Request{Points: pool, Aggs: aggs, Bound: bound, Repetitions: cfg.repetitions}
+		resident := distbound.Request{Dataset: ds, Aggs: aggs, Bound: bound, Repetitions: cfg.repetitions}
 		// Warm both paths so each is measured with its build cost paid.
-		if _, _, err := e.Aggregate(pool, cfg.agg, bound, cfg.repetitions); err != nil {
+		if _, err := e.Do(ctx, streaming); err != nil {
 			fmt.Printf("head-to-head bound %g: streaming warmup failed: %v\n", bound, err)
 			continue
 		}
-		if _, _, err := e.AggregateDataset(ds, cfg.agg, bound, cfg.repetitions); err != nil {
+		if _, err := e.Do(ctx, resident); err != nil {
 			fmt.Printf("head-to-head bound %g: resident warmup failed: %v\n", bound, err)
 			continue
 		}
-		timed := func(run func() (distbound.Strategy, error)) (float64, string, error) {
+		timed := func(req distbound.Request) (float64, string, error) {
 			t0 := time.Now()
 			var strat distbound.Strategy
 			for i := 0; i < reps; i++ {
-				var err error
-				if strat, err = run(); err != nil {
+				resp, err := e.Do(ctx, req)
+				if err != nil {
 					return 0, "", err
 				}
+				strat = resp.Strategy
 			}
 			return float64(time.Since(t0).Microseconds()) / 1e3 / reps, strat.String(), nil
 		}
 		var err error
-		c.StreamingMS, c.StreamingStrategy, err = timed(func() (distbound.Strategy, error) {
-			_, strat, err := e.Aggregate(pool, cfg.agg, bound, cfg.repetitions)
-			return strat, err
-		})
+		c.StreamingMS, c.StreamingStrategy, err = timed(streaming)
 		if err != nil {
 			fmt.Printf("head-to-head bound %g: streaming run failed: %v\n", bound, err)
 			continue
 		}
-		c.ResidentMS, c.ResidentStrategy, err = timed(func() (distbound.Strategy, error) {
-			_, strat, err := e.AggregateDataset(ds, cfg.agg, bound, cfg.repetitions)
-			return strat, err
-		})
+		c.ResidentMS, c.ResidentStrategy, err = timed(resident)
 		if err != nil {
 			fmt.Printf("head-to-head bound %g: resident run failed: %v\n", bound, err)
 			continue
@@ -684,12 +630,13 @@ func runLoad(cfg loadConfig) error {
 	}
 
 	verifyStart := time.Now()
-	if err := verifyPaths(e, cfg.querySlice(pool, rand.New(rand.NewSource(cfg.seed))), cfg); err != nil {
+	adhoc := distbound.Request{Points: cfg.querySlice(pool, rand.New(rand.NewSource(cfg.seed)))}
+	if err := verifyPaths(e, adhoc, "ad-hoc", cfg); err != nil {
 		return fmt.Errorf("verification failed: %w", err)
 	}
 	if cfg.resident {
-		if err := verifyResident(e, ds, cfg); err != nil {
-			return fmt.Errorf("resident verification failed: %w", err)
+		if err := verifyPaths(e, distbound.Request{Dataset: ds}, "resident", cfg); err != nil {
+			return fmt.Errorf("verification failed: %w", err)
 		}
 	}
 	fmt.Printf("verification: counts and values agree across sequential, parallel and batched paths (%v)\n",
@@ -698,16 +645,6 @@ func runLoad(cfg loadConfig) error {
 	// Fix the configured worker count before any timed measurement, so the
 	// head-to-head and the load phase land in one consistent configuration.
 	e.SetWorkers(cfg.workers)
-	// Calibration runs before the timed phases so they execute under the
-	// fitted model (which, by the uniform-scaling design, plans the same
-	// strategies the defaults would).
-	var calibration *calibrationJSON
-	if cfg.calibrate {
-		var err error
-		if calibration, err = runCalibration(e, ds, cfg); err != nil {
-			return err
-		}
-	}
 	var coverPlans []coverPlanComparison
 	if cfg.resident {
 		comparisons = compareResident(e, ds, pool, cfg)
@@ -881,7 +818,7 @@ func runLoad(cfg loadConfig) error {
 		fmt.Printf("result cache (load phase included): hits=%d misses=%d evictions=%d\n", st.Hits, st.Misses, st.Evictions)
 	}
 	if cfg.jsonPath != "" {
-		if err := writeBenchJSON(cfg, len(all), elapsed, pct, all[len(all)-1], strategies, comparisons, multiAggs, coverPlans, calibration, persistence, cacheBench); err != nil {
+		if err := writeBenchJSON(cfg, len(all), elapsed, pct, all[len(all)-1], strategies, comparisons, multiAggs, coverPlans, persistence, cacheBench); err != nil {
 			return fmt.Errorf("writing %s: %w", cfg.jsonPath, err)
 		}
 		fmt.Printf("wrote %s\n", cfg.jsonPath)

@@ -13,7 +13,6 @@
 //	spatialbench -concurrency 8 -ingest             # mixed append/query mode
 //	spatialbench -concurrency 8 -resident -multiagg # single-pass vs 5 sequential aggregates
 //	spatialbench -concurrency 8 -skew 1.2           # Zipf-skewed region sizes, tail-latency stress
-//	spatialbench -concurrency 8 -calibrate          # host-fit the cost model before the run
 //	spatialbench -concurrency 8 -json BENCH_load.json
 //
 // Experiments: fig4a, fig4b, fig6, mem, fig7, ablapprox, ablcurve, all.
@@ -26,8 +25,8 @@
 // behavior.
 //
 // With -resident the point pool is additionally registered as a resident
-// dataset (Engine.RegisterPoints) and the load phase drives AggregateDataset
-// over the whole pool, after two per-bound head-to-heads: streaming vs
+// dataset (Engine.RegisterPoints) and the load phase drives Engine.Do on the
+// dataset over the whole pool, after two per-bound head-to-heads: streaming vs
 // resident paths on a repetition-heavy workload, and the cover-plan
 // execution (global sweep, deduplicated probes, inverted delta) vs the
 // per-region reference execution. -json writes the run's throughput and
@@ -39,12 +38,6 @@
 // exponent s: a few giant regions over a long tail of tiny ones. Watch the
 // p99 column — cost-weighted work partitioning keeps the giant regions from
 // pinning tail latency the way region-count sharding did.
-//
-// With -calibrate the run first fits the planner's cost model to the host
-// (Engine.Calibrate) and reports the fitted constants plus a per-bound diff
-// of the strategies the default and calibrated models choose — expected
-// empty, since calibration scales all constants uniformly. The -json
-// document carries both under "calibration".
 //
 // With -multiagg the run adds a per-bound head-to-head of the unified
 // request API's single-pass execution: one Engine.Do carrying all five
@@ -88,10 +81,10 @@ func main() {
 		boundsFlag  = flag.String("bounds", defaultBounds, "load mode: comma-separated distance bounds cycled across queries (0 = exact)")
 		aggFlag     = flag.String("agg", "count", "load mode: aggregate (count, sum, avg, min, max)")
 		reps        = flag.Int("reps", 1000, "load mode: repetitions hint passed to the planner")
-		batch       = flag.Int("batch", 0, "load mode: issue AggregateBatch calls of this size instead of single queries")
+		batch       = flag.Int("batch", 0, "load mode: issue DoBatch calls of this size instead of single queries")
 		workers     = flag.Int("workers", 1, "load mode: intra-query worker count, or batch-pool size with -batch (0 = GOMAXPROCS)")
 		queryPoints = flag.Int("querypoints", 50_000, "load mode: points per query, sliced from the pool (0 = whole pool)")
-		resident    = flag.Bool("resident", false, "load mode: register the pool as a resident dataset and drive AggregateDataset")
+		resident    = flag.Bool("resident", false, "load mode: register the pool as a resident dataset and query it instead of ad-hoc slices")
 		persist     = flag.Bool("persist", false, "load mode: after the run, checkpoint the resident dataset to disk, log a mutation tail, reopen it in a second engine and verify bit-identical serving (requires -resident)")
 		multiagg    = flag.Bool("multiagg", false, "load mode: head-to-head of one Do carrying all five aggregates vs five sequential calls, per bound")
 		cacheMode   = flag.Bool("cache", false, "load mode: repeated-workload result-cache benchmark — a Zipf mix of request shapes with the cache off then on, reporting hit rate and cached-vs-executed latency (requires -resident)")
@@ -102,8 +95,6 @@ func main() {
 		compactThreshold = flag.Int("compactthreshold", distbound.DefaultCompactionThreshold, "ingest mode: delta+tombstone rows triggering a background compaction (0 disables)")
 
 		skew = flag.Float64("skew", 0, "load mode: replace the census regions with rectangles whose cover sizes follow a Zipf law with this exponent (0 = off); stresses cost-weighted work partitioning, watch p99")
-
-		calibrate = flag.Bool("calibrate", false, "load mode: fit the planner's cost model to this host before the run and report the constants plus a calibrated-vs-default strategy diff")
 
 		serveMode  = flag.Bool("serve", false, "serve mode: drive distboundd over HTTP — spawns a -shards server and a 1-shard server in-process for a head-to-head unless -serveurl targets a running daemon")
 		serveURL   = flag.String("serveurl", "", "serve mode: base URL of a running distboundd (e.g. http://127.0.0.1:7080) instead of in-process servers")
@@ -148,8 +139,8 @@ func main() {
 		return
 	}
 
-	if (*resident || *ingest || *multiagg || *calibrate || *persist || *cacheMode || *jsonPath != "" || *skew > 0) && *concurrency <= 0 {
-		fmt.Fprintln(os.Stderr, "-resident, -ingest, -multiagg, -calibrate, -persist, -cache, -skew and -json require load mode (-concurrency N > 0)")
+	if (*resident || *ingest || *multiagg || *persist || *cacheMode || *jsonPath != "" || *skew > 0) && *concurrency <= 0 {
+		fmt.Fprintln(os.Stderr, "-resident, -ingest, -multiagg, -persist, -cache, -skew and -json require load mode (-concurrency N > 0)")
 		os.Exit(2)
 	}
 	if *persist && !*resident {
@@ -162,10 +153,6 @@ func main() {
 	}
 	if *skew > 0 && *ingest {
 		fmt.Fprintln(os.Stderr, "-skew is not wired into the ingest workload; drop one of -skew / -ingest")
-		os.Exit(2)
-	}
-	if *calibrate && *ingest {
-		fmt.Fprintln(os.Stderr, "-calibrate is not wired into the ingest workload; drop one of -calibrate / -ingest")
 		os.Exit(2)
 	}
 	if *concurrency > 0 {
@@ -199,7 +186,6 @@ func main() {
 			ingestBatch:      *ingestBatch,
 			compactThreshold: *compactThreshold,
 			skew:             *skew,
-			calibrate:        *calibrate,
 			cache:            *cacheMode,
 		}
 		run := runLoad

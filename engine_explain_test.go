@@ -37,20 +37,19 @@ func explainFixture(t *testing.T) (*Engine, *Dataset) {
 // reviewed here, not discovered by downstream parsers.
 func TestExplainGolden(t *testing.T) {
 	e, _ := explainFixture(t)
-	got := e.Explain(50_000, 16, 10)
+	got := e.planFor(50_000, []Agg{Count}, 16, 10).Explain()
 	const want = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
   act        build=191.9ms run=20.0ms total=391.9ms
-  brj        build=43.3ms run=111.9ms total=1161.9ms
-cost-model: default`
+  brj        build=43.3ms run=111.9ms total=1161.9ms`
 	if got != want {
 		t.Errorf("Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
 // TestResponseExplainGolden pins the Request/Response explain path: a
-// Request with Explain set renders exactly what the deprecated Explain
-// methods render for the same query, and a multi-aggregate set containing an
-// extreme drops the BRJ row from the comparison entirely.
+// Request with Explain set renders exactly what the planner renders for the
+// same query, and a multi-aggregate set containing an extreme drops the BRJ
+// row from the comparison entirely.
 func TestResponseExplainGolden(t *testing.T) {
 	e, ds := explainFixture(t)
 	pts, ws := ds.Points()
@@ -62,8 +61,8 @@ func TestResponseExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := e.Explain(len(pts), 16, 10); resp.Explain != want {
-		t.Errorf("Response.Explain drifted from the legacy rendering:\n--- got ---\n%s\n--- want ---\n%s",
+	if want := e.planFor(len(pts), []Agg{Count}, 16, 10).Explain(); resp.Explain != want {
+		t.Errorf("Response.Explain drifted from the planner's rendering:\n--- got ---\n%s\n--- want ---\n%s",
 			resp.Explain, want)
 	}
 
@@ -77,8 +76,7 @@ func TestResponseExplainGolden(t *testing.T) {
 	}
 	const wantExtremeSet = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
   pointidx   build=191.9ms run=6.4ms total=255.9ms
-  act        build=191.9ms run=20.0ms total=391.9ms
-cost-model: default`
+  act        build=191.9ms run=20.0ms total=391.9ms`
 	if resp.Explain != wantExtremeSet {
 		t.Errorf("multi-agg Response.Explain drifted:\n--- got ---\n%s\n--- want ---\n%s",
 			resp.Explain, wantExtremeSet)
@@ -88,19 +86,29 @@ cost-model: default`
 // TestExplainDatasetGolden pins the resident plan rendering in both states:
 // freshly compacted (no delta line) and carrying a delta tail (the
 // delta-fraction term must appear and the costs must reflect the scan).
+// Every request pins the exact strategy, so no run builds the pointidx cover
+// and each rendering plans against the same cold cover cache; the
+// rendering is still the planner's own comparison.
 func TestExplainDatasetGolden(t *testing.T) {
 	e, ds := explainFixture(t)
-	got, err := e.ExplainDataset(ds, Count, 16, 10)
-	if err != nil {
-		t.Fatal(err)
+	exact := StrategyExact
+	explain := func() string {
+		t.Helper()
+		resp, err := e.Do(context.Background(), Request{
+			Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 10, Strategy: &exact, Explain: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Explain
 	}
+	got := explain()
 	const wantCompact = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
   pointidx   build=191.9ms run=6.4ms total=255.9ms
   act        build=191.9ms run=20.0ms total=391.9ms
-  brj        build=43.3ms run=111.9ms total=1161.9ms
-cost-model: default`
+  brj        build=43.3ms run=111.9ms total=1161.9ms`
 	if got != wantCompact {
-		t.Errorf("ExplainDataset (compact) drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantCompact)
+		t.Errorf("dataset Explain (compact) drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantCompact)
 	}
 
 	// A 12.5k-row delta on a 62.5k-point dataset: the pointidx row's per-run
@@ -111,18 +119,14 @@ cost-model: default`
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = e.ExplainDataset(ds, Count, 16, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = explain()
 	const wantDelta = `* pointidx   build=191.9ms run=8.4ms total=275.8ms
   exact(R*)  build=0.0ms run=27.9ms total=279.2ms
   act        build=191.9ms run=25.0ms total=441.9ms
   brj        build=43.3ms run=112.1ms total=1164.4ms
-delta: 20.0% of resident points await compaction (pointidx per-run cost includes the inverted delta join)
-cost-model: default`
+delta: 20.0% of resident points await compaction (pointidx per-run cost includes the inverted delta join)`
 	if got != wantDelta {
-		t.Errorf("ExplainDataset (delta) drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantDelta)
+		t.Errorf("dataset Explain (delta) drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantDelta)
 	}
 
 	// Deleting the appended rows and compacting restores the original
@@ -131,11 +135,7 @@ cost-model: default`
 		t.Fatalf("deleted %d", n)
 	}
 	ds.Compact()
-	got, err = e.ExplainDataset(ds, Count, 16, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wantCompact {
-		t.Errorf("ExplainDataset after compaction drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantCompact)
+	if got := explain(); got != wantCompact {
+		t.Errorf("dataset Explain after compaction drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantCompact)
 	}
 }

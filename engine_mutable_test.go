@@ -1,6 +1,7 @@
 package distbound
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -127,13 +128,14 @@ func TestDatasetAppendVisibleToAllStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bound ≤ 0 forces the exact strategy through the materialized path.
-	res, strat, err := e.AggregateDataset(ds, Count, 0, 1)
+	resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyExact {
-		t.Fatalf("bound 0 ran %v", strat)
+	if resp.Strategy != StrategyExact {
+		t.Fatalf("bound 0 ran %v", resp.Strategy)
 	}
+	res := resp.Results[0]
 	for ri := range regions {
 		if res.Counts[ri] != want.Counts[ri] {
 			t.Fatalf("region %d: exact count %d != brute force over live points %d",
@@ -193,10 +195,17 @@ func TestDatasetDeltaSurvivesPlanner(t *testing.T) {
 	}
 	ps := PointSet{Pts: pts, Weights: weights}
 	ds.SetCompactionThreshold(0) // keep the delta; this test wants the bloat
-	plan, err := e.PlanForDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
+	planDataset := func() Response {
+		t.Helper()
+		resp, err := e.Do(context.Background(), Request{
+			Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000, Explain: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
+	plan := planDataset().Plan
 	if plan.Strategy != StrategyPointIdx {
 		t.Skipf("fixture planned %v pre-mutation; delta check needs pointidx", plan.Strategy)
 	}
@@ -208,10 +217,8 @@ func TestDatasetDeltaSurvivesPlanner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bloated, err := e.PlanForDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bloatedResp := planDataset()
+	bloated := bloatedResp.Plan
 	if bloated.Strategy != StrategyPointIdx {
 		t.Errorf("planner abandoned pointidx under a 100%% delta despite the inverted join (costs %v)", bloated.Costs)
 	}
@@ -221,20 +228,13 @@ func TestDatasetDeltaSurvivesPlanner(t *testing.T) {
 	if bloated.DeltaFraction == 0 {
 		t.Error("plan reports no delta fraction on a bloated dataset")
 	}
-	out, err := e.ExplainDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "delta:") {
-		t.Errorf("ExplainDataset omits the delta term:\n%s", out)
+	if !strings.Contains(bloatedResp.Explain, "delta:") {
+		t.Errorf("Explain omits the delta term:\n%s", bloatedResp.Explain)
 	}
 	// Compaction folds the delta in: the fraction and the extra per-run cost
 	// both vanish.
 	ds.Compact()
-	recovered, err := e.PlanForDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered := planDataset().Plan
 	if recovered.Strategy != StrategyPointIdx {
 		t.Errorf("planner stuck on %v after compaction", recovered.Strategy)
 	}
@@ -312,7 +312,9 @@ func TestMutableConcurrency(t *testing.T) {
 					// Planner path: any strategy; only failure modes are
 					// races/panics and non-unregister errors.
 					agg := aggs[rng.Intn(len(aggs))]
-					res, _, err := e.AggregateDataset(ds, agg, bound, 100000)
+					resp, err := e.Do(context.Background(), Request{
+						Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Repetitions: 100000,
+					})
 					if err != nil {
 						if unregister.Load() && strings.Contains(err.Error(), "not registered") {
 							return
@@ -320,7 +322,7 @@ func TestMutableConcurrency(t *testing.T) {
 						failures[g] = err
 						return
 					}
-					if res.NumRegions() != len(regions) {
+					if resp.Results[0].NumRegions() != len(regions) {
 						failures[g] = errDrift
 						return
 					}

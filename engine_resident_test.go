@@ -1,6 +1,7 @@
 package distbound
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -50,21 +51,23 @@ func TestRegisterPoints(t *testing.T) {
 // (the cover cache is keyed by store identity, not name).
 func TestUnregisterPoints(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 200_000)
+	ctx := context.Background()
 	// Warm a cover artifact for the first dataset.
-	first, strat, err := e.AggregateDataset(ds, Count, 16, 100000)
+	firstResp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyPointIdx {
-		t.Skipf("fixture planned %v; lifecycle check needs pointidx", strat)
+	if firstResp.Strategy != StrategyPointIdx {
+		t.Skipf("fixture planned %v; lifecycle check needs pointidx", firstResp.Strategy)
 	}
+	first := firstResp.Results[0]
 	if !e.UnregisterPoints("taxi") {
 		t.Fatal("unregister reported no dataset")
 	}
 	if e.UnregisterPoints("taxi") {
 		t.Error("double unregister reported a dataset")
 	}
-	if _, _, err := e.AggregateDataset(ds, Count, 16, 1); err == nil {
+	if _, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}); err == nil {
 		t.Error("stale handle accepted after unregister")
 	}
 	// Re-register the same name with HALF the points: results must reflect
@@ -74,10 +77,11 @@ func TestUnregisterPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := e.AggregateDataset(ds2, Count, 16, 100000)
+	secondResp, err := e.Do(ctx, Request{Dataset: ds2, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	second := secondResp.Results[0]
 	var totFirst, totSecond int64
 	for ri := range first.Counts {
 		totFirst += first.Counts[ri]
@@ -92,21 +96,14 @@ func TestUnregisterPoints(t *testing.T) {
 func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 	_, ds, _, regions := residentFixture(t, 1000)
 	other := NewEngine(regions[:4])
-	if _, _, err := other.AggregateDataset(ds, Count, 16, 1); err == nil {
+	ctx := context.Background()
+	req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}
+	if _, err := other.Do(ctx, req); err == nil {
 		t.Error("foreign dataset handle accepted")
 	}
-	if _, _, err := other.AggregateDataset(nil, Count, 16, 1); err == nil {
-		t.Error("nil dataset handle accepted")
-	}
-	res := other.AggregateBatch([]BatchQuery{{Dataset: ds, Agg: Count, Bound: 16}}, 1)
+	res, _ := other.DoBatch(ctx, []Request{req}, 1)
 	if res[0].Err == nil {
 		t.Error("batch accepted a foreign dataset handle")
-	}
-	if _, err := other.PlanForDataset(ds, Count, 16, 1); err == nil {
-		t.Error("PlanForDataset accepted a foreign dataset handle")
-	}
-	if _, err := other.ExplainDataset(nil, Count, 16, 1); err == nil {
-		t.Error("ExplainDataset accepted a nil handle")
 	}
 }
 
@@ -115,26 +112,24 @@ func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 // the learned-index strategy, and Explain must list it.
 func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 	e, ds, _, _ := residentFixture(t, 200_000)
-	plan, err := e.PlanForDataset(ds, Count, 16, 100000)
+	ctx := context.Background()
+	resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Strategy != StrategyPointIdx {
+	if plan := resp.Plan; plan.Strategy != StrategyPointIdx {
 		t.Errorf("repeated resident COUNT planned %v (costs: %v)", plan.Strategy, plan.Costs)
 	}
-	out, err := e.ExplainDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "pointidx") || !strings.Contains(out, "*") {
-		t.Errorf("ExplainDataset output unexpected:\n%s", out)
+	if out := resp.Explain; !strings.Contains(out, "pointidx") || !strings.Contains(out, "*") {
+		t.Errorf("Explain output unexpected:\n%s", out)
 	}
 	// Exact requirement still forces the exact plan; ad-hoc planning is
 	// untouched by dataset registration.
-	if p, err := e.PlanForDataset(ds, Count, 0, 100000); err != nil || p.Strategy != StrategyExact {
-		t.Errorf("bound 0 resident query planned %v (err %v)", p.Strategy, err)
+	resp, err = e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Repetitions: 100000, Explain: true})
+	if err != nil || resp.Plan.Strategy != StrategyExact {
+		t.Errorf("bound 0 resident query planned %v (err %v)", resp.Plan.Strategy, err)
 	}
-	if p := e.Plan(200_000, 16, 100000); p.Strategy == StrategyPointIdx {
+	if p := e.planFor(200_000, []Agg{Count}, 16, 100000); p.Strategy == StrategyPointIdx {
 		t.Error("ad-hoc plan chose the resident strategy")
 	}
 }
@@ -162,13 +157,16 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, strat, err := e.AggregateDataset(ds, agg, bound, 100000)
+		resp, err := e.Do(context.Background(), Request{
+			Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Repetitions: 100000,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strat != StrategyPointIdx {
-			t.Fatalf("%v: resident query ran %v, want pointidx", agg, strat)
+		if resp.Strategy != StrategyPointIdx {
+			t.Fatalf("%v: resident query ran %v, want pointidx", agg, resp.Strategy)
 		}
+		res := resp.Results[0]
 		for ri := range regions {
 			if res.Counts[ri] != want.Counts[ri] {
 				t.Fatalf("%v region %d: resident count %d != ACT %d",
@@ -184,33 +182,34 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 	}
 
 	// Exact plan on the resident handle streams the original points.
-	res, strat, err := e.AggregateDataset(ds, Count, 0, 1)
+	resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyExact {
-		t.Fatalf("bound 0 ran %v", strat)
+	if resp.Strategy != StrategyExact {
+		t.Fatalf("bound 0 ran %v", resp.Strategy)
 	}
 	brute, _ := BruteForceJoin(ps, regions, Count)
 	for ri := range regions {
-		if res.Counts[ri] != brute.Counts[ri] {
+		if resp.Results[0].Counts[ri] != brute.Counts[ri] {
 			t.Fatalf("region %d: exact resident count differs from brute force", ri)
 		}
 	}
 }
 
-// TestAggregateBatchWithDatasets mixes handle-bearing and ad-hoc queries in
-// one batch and checks positional results, strategies and cover-cache
+// TestAggregateBatchWithDatasets mixes handle-bearing and ad-hoc requests
+// in one DoBatch and checks positional results, strategies and cover-cache
 // participation.
 func TestAggregateBatchWithDatasets(t *testing.T) {
 	e, ds, ps, regions := residentFixture(t, 200_000)
-	queries := []BatchQuery{
-		{Dataset: ds, Agg: Count, Bound: 16, Repetitions: 100000},
-		{Points: ps, Agg: Count, Bound: 16, Repetitions: 1},
-		{Dataset: ds, Agg: Sum, Bound: 16, Repetitions: 100000},
-		{Dataset: ds, Agg: Count, Bound: 0, Repetitions: 1},
+	ctx := context.Background()
+	queries := []Request{
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000},
+		{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1},
+		{Dataset: ds, Aggs: []Agg{Sum}, Bound: 16, Repetitions: 100000},
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 0, Repetitions: 1},
 	}
-	results := e.AggregateBatch(queries, 0)
+	results, _ := e.DoBatch(ctx, queries, 0)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -225,17 +224,17 @@ func TestAggregateBatchWithDatasets(t *testing.T) {
 	// The handle-bearing and ad-hoc COUNT queries at the same bound agree
 	// bit-identically whenever both run conservative-cover strategies over
 	// the same points.
-	single, strat, err := e.AggregateDataset(ds, Count, 16, 100000)
+	single, err := e.Do(ctx, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyPointIdx {
-		t.Fatalf("single resident query ran %v", strat)
+	if single.Strategy != StrategyPointIdx {
+		t.Fatalf("single resident query ran %v", single.Strategy)
 	}
 	for ri := range regions {
-		if results[0].Result.Counts[ri] != single.Counts[ri] {
+		if results[0].Results[0].Counts[ri] != single.Results[0].Counts[ri] {
 			t.Fatalf("region %d: batch resident count %d != single %d",
-				ri, results[0].Result.Counts[ri], single.Counts[ri])
+				ri, results[0].Results[0].Counts[ri], single.Results[0].Counts[ri])
 		}
 	}
 	_, _, cover := e.CacheStats()
@@ -258,14 +257,16 @@ func TestResidentConcurrency(t *testing.T) {
 	// Reference results on a warm engine.
 	want := map[float64]Result{}
 	for _, b := range bounds {
-		res, strat, err := e.AggregateDataset(ds, Count, b, 100000)
+		resp, err := e.Do(context.Background(), Request{
+			Dataset: ds, Aggs: []Agg{Count}, Bound: b, Repetitions: 100000,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strat != StrategyPointIdx {
-			t.Skipf("fixture planned %v at bound %g; concurrency check needs pointidx", strat, b)
+		if resp.Strategy != StrategyPointIdx {
+			t.Skipf("fixture planned %v at bound %g; concurrency check needs pointidx", resp.Strategy, b)
 		}
-		want[b] = res
+		want[b] = resp.Results[0]
 	}
 
 	// Fresh engine so every goroutine races on cold cover builds; also
@@ -291,11 +292,14 @@ func TestResidentConcurrency(t *testing.T) {
 			}
 			for i := 0; i < 6; i++ {
 				b := bounds[(g+i)%len(bounds)]
-				res, _, err := e2.AggregateDataset(ds2, Count, b, 100000)
+				resp, err := e2.Do(context.Background(), Request{
+					Dataset: ds2, Aggs: []Agg{Count}, Bound: b, Repetitions: 100000,
+				})
 				if err != nil {
 					errs[g] = err
 					return
 				}
+				res := resp.Results[0]
 				for ri := range res.Counts {
 					if res.Counts[ri] != want[b].Counts[ri] {
 						errs[g] = errDrift

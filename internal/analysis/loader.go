@@ -178,7 +178,8 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // PackageDirs walks the module tree and returns every directory containing
 // at least one non-test .go file, skipping testdata, vendor, hidden and
-// underscore-prefixed directories — the same set `go list ./...` would name.
+// underscore-prefixed directories and nested modules (any directory below
+// root holding its own go.mod) — the same set `go list ./...` would name.
 func PackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -186,9 +187,15 @@ func PackageDirs(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || name == "vendor" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -5,7 +5,7 @@
 // filter-and-refine — and "the optimizer can choose different query plans
 // based on the query parameters, the distance bound ... and the estimated
 // selectivity". This planner estimates each strategy's cost from workload
-// statistics and a calibrated constant model and picks the cheapest.
+// statistics and a constant cost model and picks the cheapest.
 package planner
 
 import (
@@ -153,9 +153,8 @@ func perimeterOf(rg geom.Region) float64 {
 	}
 }
 
-// CostModel holds the calibrated per-operation constants (nanoseconds). The
-// defaults were measured on this repository's benchmark suite; Calibrate-
-// style refinement can overwrite them for a new machine.
+// CostModel holds the per-operation constants (nanoseconds). The defaults
+// were measured on this repository's benchmark suite.
 type CostModel struct {
 	// TrieLookup is the ACT per-point lookup cost.
 	TrieLookup float64
@@ -180,10 +179,6 @@ type CostModel struct {
 	// regions posting its range, instead of every region re-scanning the
 	// whole delta.
 	DeltaProbe float64
-	// Calibrated reports whether the constants came from a Calibrate run on
-	// this host rather than the reference-machine defaults. Plans carry it
-	// through to Explain's cost-model line.
-	Calibrated bool
 }
 
 // DefaultCostModel returns constants measured on the reference machine
@@ -325,9 +320,6 @@ type Plan struct {
 	// artifact is already built (the engine fills it in); Explain renders
 	// it as the cover-plan line.
 	Cover CoverStats
-	// Calibrated records whether the choosing model's constants were fitted
-	// to this host by Calibrate; Explain renders it as the cost-model line.
-	Calibrated bool
 }
 
 // Choose picks the cheapest strategy for q under the model — once per
@@ -355,7 +347,6 @@ func (m CostModel) ChooseInto(q Query, p *Plan) {
 	}
 	p.DeltaFraction = 0
 	p.Cover = CoverStats{}
-	p.Calibrated = m.Calibrated
 	if q.ResidentPoints && q.NumPoints > 0 && q.DeltaPoints > 0 {
 		// DeltaPoints counts scanned delta rows, dead ones included, so it
 		// can exceed the live count (append K then delete all K); anything
@@ -416,11 +407,6 @@ func (p Plan) Explain() string {
 	if p.DeltaFraction > 0 {
 		out += fmt.Sprintf("\ndelta: %.1f%% of resident points await compaction (pointidx per-run cost includes the inverted delta join)",
 			100*p.DeltaFraction)
-	}
-	if p.Calibrated {
-		out += "\ncost-model: calibrated"
-	} else {
-		out += "\ncost-model: default"
 	}
 	return out
 }

@@ -40,8 +40,8 @@ type Request struct {
 	// Bound is the distance bound ε; ≤ 0 (or NaN) requests exact answers.
 	Bound float64
 	// Repetitions is how many times the caller expects to run this query in
-	// total (index build cost amortizes over it). Values < 1 normalize to 1
-	// here — the single clamping point for every entry path.
+	// total (index build cost amortizes over it). Values < 1 normalize to 1,
+	// in Do and DoBatch alike.
 	Repetitions int
 	// Strategy, when non-nil, bypasses the planner and forces the physical
 	// strategy. The request is rejected up front if the strategy cannot
