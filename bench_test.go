@@ -1,8 +1,12 @@
 // Benchmarks regenerating the core measurement of every table and figure in
 // the paper's evaluation (one Benchmark* family per experiment; the full
 // tables, with workload sweeps and accuracy columns, are produced by
-// cmd/spatialbench). Fixtures are built once at a reduced scale so the whole
-// suite completes in minutes; scale knobs live in cmd/spatialbench.
+// cmd/spatialbench), plus the engine's head-to-heads: BenchmarkResident
+// (resident point index vs streaming ACT) and BenchmarkMultiAgg (one
+// five-aggregate Do vs five single-aggregate calls). Fixtures are built once
+// at a reduced scale so the whole suite completes in minutes. The
+// end-to-end serving benchmark is perfbench, a separate module under
+// perfbench/.
 package distbound
 
 import (
@@ -367,59 +371,6 @@ func BenchmarkResident(b *testing.B) {
 				resp.Release()
 			}
 		})
-	}
-}
-
-// BenchmarkCoverPlan: the tentpole head-to-head — the global cover-plan
-// execution (one monotone boundary sweep, deduplicated probes, inverted
-// delta) against the per-region reference execution (independent Span
-// probes per region, delta brute-scanned per region) on the same joiner,
-// same snapshot, sequential on both sides. Run with -delta to see the
-// inversion's win too: the per-region side degrades with regions × delta
-// while the plan side pays delta × log(ranges).
-func BenchmarkCoverPlan(b *testing.B) {
-	pts, weights := data.TaxiPoints(1, benchPoints)
-	regions := data.Regions(data.Census(13, benchCensus))
-	e := NewEngine(regions)
-	ds, err := e.RegisterPoints("bench", pts, weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds.SetCompactionThreshold(0)
-	ctx := context.Background()
-	aggs := []Agg{Count, Sum}
-	for _, cfg := range []struct {
-		name  string
-		delta int
-	}{{"compact", 0}, {"delta=50k", 50_000}} {
-		if cfg.delta > 0 {
-			if _, err := ds.Append(pts[:cfg.delta], weights[:cfg.delta]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, bound := range []float64{8, 16} {
-			pj, err := join.NewPointIdxJoiner(regions, ds.src, bound, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/per-region/bound=%g", cfg.name, bound), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := pj.AggregateMultiPerRegion(ctx, aggs, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/cover-plan/bound=%g", cfg.name, bound), func(b *testing.B) {
-				b.ReportAllocs()
-				results := join.NewResults(aggs, len(regions))
-				for i := 0; i < b.N; i++ {
-					if _, err := pj.AggregateMultiInto(ctx, aggs, 1, results); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

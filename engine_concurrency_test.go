@@ -2,8 +2,11 @@ package distbound
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
+
+	"distbound/internal/testutil"
 )
 
 // mixedQuery is one (bound, repetitions) point of the concurrent workload.
@@ -195,7 +198,10 @@ func TestEngineCachedBuildInformsPlanner(t *testing.T) {
 // TestEngineAggregateBatch checks that DoBatch is deterministic across
 // parallelism levels: identical strategies and counts for every worker
 // count. Caches are warmed (with capacities covering every bound)
-// first, so all batches plan against the same stable cache state.
+// first, so all batches plan against the same stable cache state. It then
+// pins intra-query fan-out on the ad-hoc target: with each streaming
+// strategy forced, a single-threaded Do, a fanned-out Do and a one-request
+// DoBatch return bit-identical results.
 func TestEngineAggregateBatch(t *testing.T) {
 	ps, regions := facadeWorkload(20000)
 	e := NewEngine(regions)
@@ -233,6 +239,37 @@ func TestEngineAggregateBatch(t *testing.T) {
 						par[i].Results[0].Counts[ri], seq[i].Results[0].Counts[ri])
 				}
 			}
+		}
+	}
+
+	// This workload plans exact at every bound, so force each strategy.
+	for _, strat := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
+		for _, bound := range []float64{16, 64} {
+			label := fmt.Sprintf("%v bound=%g", strat, bound)
+			req := Request{Points: ps, Aggs: []Agg{Count}, Bound: bound, Strategy: &strat, Workers: 1}
+			single, err := e.Do(ctx, req)
+			if err != nil {
+				t.Fatalf("%s workers=1: %v", label, err)
+			}
+			req.Workers = 4
+			fanned, err := e.Do(ctx, req)
+			if err != nil {
+				t.Fatalf("%s workers=4: %v", label, err)
+			}
+			batch, err := e.DoBatch(ctx, []Request{req}, 1)
+			if err == nil {
+				err = batch[0].Err
+			}
+			if err != nil {
+				t.Fatalf("%s batched: %v", label, err)
+			}
+			for _, got := range []Response{single, fanned, batch[0]} {
+				if got.Strategy != strat {
+					t.Fatalf("%s: ran %v", label, got.Strategy)
+				}
+			}
+			testutil.CheckIdentical(t, label+" workers=4", single.Results[0], fanned.Results[0])
+			testutil.CheckIdentical(t, label+" batched", single.Results[0], batch[0].Results[0])
 		}
 	}
 }

@@ -36,7 +36,8 @@ import (
 // way region-count sharding did.
 //
 // Result identity with the per-region reference execution
-// (AggregateMultiPerRegion): COUNT, MIN and MAX are bit-identical — the
+// (AggregateMultiPerRegion in perregion_test.go, the oracle of
+// checkPlanMatchesPerRegion): COUNT, MIN and MAX are bit-identical — the
 // same spans produce the same per-range values, folded per region in the
 // same order. SUM/AVG fold base contributions in the identical order too;
 // only the delta tail's contributions associate differently (summed per

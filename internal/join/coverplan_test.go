@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"distbound/internal/data"
@@ -374,4 +375,55 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCoverPlan: the global cover-plan execution (one monotone
+// boundary sweep, deduplicated probes, inverted delta) against the
+// per-region reference execution (independent Span probes per region, delta
+// brute-scanned per region) on the same joiner, same snapshot, sequential on
+// both sides. The delta=50k configuration shows the inversion's win too: the
+// per-region side degrades with regions × delta while the plan side pays
+// delta × log(ranges).
+func BenchmarkCoverPlan(b *testing.B) {
+	pts, weights := data.TaxiPoints(1, 200_000)
+	regions := data.Regions(data.Census(13, 400))
+	store, err := pointstore.NewMutable(pts, weights, data.CityDomain(), sfc.Hilbert{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	aggs := []Agg{Count, Sum}
+	for _, cfg := range []struct {
+		name  string
+		delta int
+	}{{"compact", 0}, {"delta=50k", 50_000}} {
+		if cfg.delta > 0 {
+			if _, err := store.Append(pts[:cfg.delta], weights[:cfg.delta]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, bound := range []float64{8, 16} {
+			pj, err := NewPointIdxJoiner(regions, store, bound, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/per-region/bound=%g", cfg.name, bound), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := pj.AggregateMultiPerRegion(ctx, aggs, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/cover-plan/bound=%g", cfg.name, bound), func(b *testing.B) {
+				b.ReportAllocs()
+				results := NewResults(aggs, len(regions))
+				for i := 0; i < b.N; i++ {
+					if _, err := pj.AggregateMultiInto(ctx, aggs, 1, results); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -364,41 +364,3 @@ func (j *PointIdxJoiner) AggregateMulti(ctx context.Context, aggs []Agg, workers
 	}
 	return results, nil
 }
-
-// AggregateMultiPerRegion is the pre-plan reference execution: every region
-// independently probes its own cover ranges and brute-scans the delta tail.
-// It is retained as the differential baseline the cover-plan execution is
-// pinned against — COUNT/MIN/MAX bit-identical, SUM/AVG identical up to the
-// delta tail's re-association — and as the benchmark head-to-head
-// (BenchmarkCoverPlan) measuring what the plan buys.
-func (j *PointIdxJoiner) AggregateMultiPerRegion(ctx context.Context, aggs []Agg, workers int) ([]Result, error) {
-	if err := j.validateAggs(aggs); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	needs := needsOf(aggs)
-	done := ctx.Done()
-	snap := j.src.Snapshot()
-	results := NewResults(aggs, len(j.covers))
-	shards := shardBounds(len(j.covers), workers)
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for ri := lo; ri < hi; ri++ {
-				if canceled(done) {
-					return
-				}
-				j.aggregateRegion(snap, results, needs, ri)
-			}
-		}(sh[0], sh[1])
-	}
-	wg.Wait()
-	if canceled(done) {
-		return nil, ctx.Err()
-	}
-	return results, nil
-}

@@ -3,8 +3,6 @@ package join
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,10 +20,11 @@ import (
 // compaction — and each region is covered once by its conservative
 // distance-bounded hierarchical raster, kept as merged 1D leaf ranges.
 //
-// A query loads one immutable snapshot of the dataset and, per region, folds
-// the base's range aggregates over the region's cover ranges (tombstones
-// subtracted) and brute-scans the delta tail against the same ranges. The
-// result is therefore exactly what a freshly compacted store would return:
+// A query loads one immutable snapshot of the dataset and answers every
+// region through the global cover plan (coverplan.go): the base's range
+// aggregates over the region's cover ranges (tombstones subtracted) plus
+// the live delta rows whose keys fall in those ranges. The result is
+// therefore exactly what a freshly compacted store would return:
 // COUNT/MIN/MAX are bit-identical to a full rebuild of the surviving points,
 // SUM/AVG agree up to float re-association (the delta tail sums in append
 // order rather than key order).
@@ -173,76 +172,4 @@ func (j *PointIdxJoiner) AggregateParallel(agg Agg, workers int) (Result, error)
 		return Result{}, err
 	}
 	return rs[0], nil
-}
-
-// aggregateRegion folds the snapshot's base range aggregates over one
-// region's cover ranges and brute-scans the delta tail against them, writing
-// only that region's slots of every result. Each Span is located once and
-// every needed aggregate folds from it — the shared-lookup economy of the
-// multi-aggregate path.
-//
-//distbound:noalloc
-func (j *PointIdxJoiner) aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds, ri int) {
-	var cnt int64
-	var sum float64
-	mn, mx := math.Inf(1), math.Inf(-1)
-	ranges := j.covers[ri]
-	for _, r := range ranges {
-		lo, hi := snap.Span(r.Lo, r.Hi)
-		if lo >= hi {
-			continue
-		}
-		cnt += int64(snap.CountSpan(lo, hi))
-		if needs.sum {
-			sum += snap.SumSpan(lo, hi)
-		}
-		if needs.min {
-			mn = math.Min(mn, snap.MinSpan(lo, hi))
-		}
-		if needs.max {
-			mx = math.Max(mx, snap.MaxSpan(lo, hi))
-		}
-	}
-	// Delta scan: every live delta row whose key falls in one of the
-	// region's cover ranges contributes exactly as a base row would.
-	for k, dn := 0, snap.DeltaLen(); k < dn; k++ {
-		if !snap.DeltaLive(k) || !coversKey(ranges, snap.DeltaKey(k)) {
-			continue
-		}
-		cnt++
-		if needs.sum || needs.min || needs.max {
-			w := snap.DeltaWeight(k)
-			if needs.sum {
-				sum += w
-			}
-			if needs.min {
-				mn = math.Min(mn, w)
-			}
-			if needs.max {
-				mx = math.Max(mx, w)
-			}
-		}
-	}
-	for k := range results {
-		results[k].Counts[ri] = cnt
-		if results[k].Sums != nil {
-			results[k].Sums[ri] = sum
-		}
-		if results[k].Extremes != nil {
-			if results[k].Agg == Min {
-				results[k].Extremes[ri] = mn
-			} else {
-				results[k].Extremes[ri] = mx
-			}
-		}
-	}
-}
-
-// coversKey reports whether a leaf key falls in one of the merged, sorted
-// cover ranges — binary search, mirroring Approximation.CoversLeafPos.
-//
-//distbound:noalloc
-func coversKey(ranges []raster.PosRange, key uint64) bool {
-	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].Hi >= key })
-	return i < len(ranges) && ranges[i].Lo <= key
 }
