@@ -47,7 +47,7 @@ const DefaultBRJCacheCapacity = 2
 // DefaultCoverCacheCapacity bounds the per-(dataset, bound) cover cache of
 // the resident point-index strategy: each entry is the merged cover ranges
 // of every region at one bound (16 bytes per range — megabytes at fine
-// bounds, far smaller than an ACT trie). Resize with SetCoverCacheCapacity.
+// bounds, far smaller than an ACT trie).
 const DefaultCoverCacheCapacity = 8
 
 // Engine answers spatial aggregation queries over a fixed region set,
@@ -186,13 +186,6 @@ func (e *Engine) SetIndexCacheCapacity(n int) {
 // diversity. The capacity also caps how many mask builds run concurrently.
 func (e *Engine) SetMaskCacheCapacity(n int) {
 	e.brj.SetCapacity(n)
-}
-
-// SetCoverCacheCapacity bounds how many (dataset, bound) cover artifacts of
-// the resident point-index strategy stay resident (default
-// DefaultCoverCacheCapacity); least recently used entries are evicted.
-func (e *Engine) SetCoverCacheCapacity(n int) {
-	e.pidx.SetCapacity(n)
 }
 
 // costModel snapshots the planner constants.
@@ -625,11 +618,11 @@ func (e *Engine) pointIdxJoinerCtx(ctx context.Context, ds *Dataset, bound float
 	return j, nil
 }
 
-// CoverKeyRanges returns the deduplicated, (Lo, Hi)-sorted global cover-plan
-// ranges of the dataset at the bound: the SFC key intervals a query at this
-// bound can ever touch. The ranges depend only on the engine's regions,
-// domain, curve and bound — never on the dataset's rows — so the same list
-// routes any dataset sharded by key range over the same region set: a shard
+// CoverKeyRanges returns the merged union of every region's cover ranges at
+// the bound, Lo-sorted and pairwise disjoint: the SFC key intervals a query
+// at this bound can ever touch. The ranges depend only on the engine's
+// regions, domain, curve and bound — never on the dataset's rows — so the
+// same list routes any dataset sharded by key range over the same region set: a shard
 // whose key range intersects no returned range can never contribute to a
 // bound-ε answer. A cold call builds (and caches) the dataset's cover
 // artifact exactly as a query would, fanning the rasterization across
@@ -647,7 +640,7 @@ func (e *Engine) CoverKeyRanges(ctx context.Context, ds *Dataset, bound float64,
 	if err != nil {
 		return nil, err
 	}
-	return j.UniqueRanges(), nil
+	return j.KeyRanges(), nil
 }
 
 // exactJoiner returns the R*-tree joiner, building it exactly once.

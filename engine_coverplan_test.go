@@ -7,7 +7,7 @@ import (
 )
 
 // TestResponseProbeCounters pins the probe metering of the resident path:
-// pointidx responses report how many unique cover-plan ranges were resolved
+// pointidx responses report how many cover ranges were probed
 // and how many live delta rows were searched; every other strategy reports
 // zero — the counters meter the probe economy only pointidx has.
 func TestResponseProbeCounters(t *testing.T) {
@@ -81,10 +81,10 @@ func TestExplainCoverPlanLineWarm(t *testing.T) {
 	if !strings.Contains(warm.Explain, "cover-plan:") {
 		t.Fatalf("warm Explain omits the cover-plan line:\n%s", warm.Explain)
 	}
-	if warm.Plan.Cover.Unique != warmup.RangesProbed {
-		t.Errorf("plan reports %d unique ranges, the run probed %d", warm.Plan.Cover.Unique, warmup.RangesProbed)
+	if warm.Plan.Cover.Ranges != warmup.RangesProbed {
+		t.Errorf("plan reports %d ranges, the run probed %d", warm.Plan.Cover.Ranges, warmup.RangesProbed)
 	}
-	if warm.Plan.Cover.Ranges < warm.Plan.Cover.Unique || warm.Plan.Cover.Boundaries > 2*warm.Plan.Cover.Unique {
+	if warm.Plan.Cover.Boundaries == 0 || warm.Plan.Cover.Boundaries > 2*warm.Plan.Cover.Ranges {
 		t.Errorf("implausible cover stats %+v", warm.Plan.Cover)
 	}
 	// The line is informational: the strategy comparison rows stay.

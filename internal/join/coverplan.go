@@ -1,34 +1,35 @@
 package join
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"distbound/internal/pointstore"
 	"distbound/internal/pool"
 	"distbound/internal/raster"
 )
 
-// Cover-plan execution: instead of probing the learned index once per
-// (region, range) pair, the joiner flattens every region's cover ranges into
-// ONE globally sorted, deduplicated range list at construction and executes
-// queries against it in phases:
+// Cover-plan execution: the joiner stores every region's merged cover ranges
+// once, region-major (regOff/ranges, CSR form), and executes queries against
+// them in phases instead of probing the learned index once per (region,
+// range) pair:
 //
-//  1. Resolve: every unique span boundary (range Lo / Hi+1 key) is resolved
+//  1. Resolve: every distinct span boundary (range Lo / Hi+1 key) is resolved
 //     against the sorted key column in a single monotone sweep
 //     (pointstore.SpanMulti) — sequential access, each boundary located
-//     once no matter how many regions share it.
-//  2. Probe: per unique range, the span aggregates (count, sum, block
-//     min/max, tombstones subtracted) are computed once and shared by every
-//     region posting that range.
+//     once no matter how many ranges share it.
+//  2. Probe: per (region, range), the span aggregates (count, sum, block
+//     min/max, tombstones subtracted) are computed into that range's slot of
+//     the per-range scratch columns.
 //  3. Delta: the un-compacted tail is inverted — each live delta row is
 //     binary-searched into the plan's boundary segments once (O(log
 //     ranges)) and fanned out to the segment's covered regions' delta
 //     accumulators, instead of every region scanning every delta row.
-//  4. Fold: per region, the shared per-range aggregates are folded in the
-//     region's own Lo-ascending range order and merged with its delta
-//     accumulator.
+//  4. Fold: per region, its own contiguous slice of the per-range values is
+//     folded in the region's Lo-ascending range order and merged with its
+//     delta accumulator.
 //
 // Parallel phases partition work by estimated probe cost — resolved span
 // length for ranges, range count plus delta hits for regions — so one
@@ -50,17 +51,16 @@ import (
 // bound — never on the data — so it survives appends, deletes and
 // compactions of its dataset just like the covers themselves.
 type coverPlan struct {
-	uniq []raster.PosRange // globally (Lo, Hi)-sorted, deduplicated ranges
-
-	postOff  []int32 // len(uniq)+1; postings[postOff[u]:postOff[u+1]] = regions of uniq[u]
-	postings []int32
+	regOff []int32           // len(regions)+1; ranges[regOff[r]:regOff[r+1]] = region r's cover
+	ranges []raster.PosRange // every region's merged cover ranges, Lo-ascending within a region
 
 	bkeys []uint64 // sorted, deduplicated boundary probe keys (Lo and Hi+1 values)
-	loB   []int32  // per unique range: bkeys index resolving to the span start
-	hiB   []int32  // per unique range: bkeys index resolving to the span end; -1 ⇒ column end
+	loB   []int32  // per range: bkeys index resolving to the span start
+	hiB   []int32  // per range: bkeys index resolving to the span end; -1 ⇒ column end
 
-	regOff  []int32 // len(regions)+1; regUniq[regOff[r]:regOff[r+1]] = r's ranges
-	regUniq []int32 // unique-range index per (region, range), Lo-ascending within a region
+	// union is the merged, Lo-sorted union of all ranges: the key intervals
+	// a query at this bound can ever touch, which a shard router intersects.
+	union []raster.PosRange
 
 	// Boundary-segment stab lists for the inverted delta join: every key in
 	// [bkeys[s], bkeys[s+1]) — and, for the final segment, [bkeys[last], ∞)
@@ -81,9 +81,9 @@ type coverPlan struct {
 // the query — so it is computed once per base identity, published through
 // the joiner's atomic pointer, and shared read-only by every query until a
 // compaction installs a new base. That makes cover-plan maintenance across
-// compactions incremental: the deduplicated range list, region postings,
-// boundary keys and stab lists survive verbatim, and the first query against
-// the new base re-runs only this resolution.
+// compactions incremental: the range list, boundary keys and stab lists
+// survive verbatim, and the first query against the new base re-runs only
+// this resolution.
 type resolvedSpans struct {
 	base     *pointstore.Store // identity of the base column resolved against
 	resolved []int             // per boundary key: position of the first column key ≥ it
@@ -101,7 +101,7 @@ func (rs *resolvedSpans) memoryBytes() int {
 // allocates nothing. Every slice is sized once for the joiner's fixed plan
 // and region count.
 type planScratch struct {
-	cnt []int64 // per unique range: live row count
+	cnt []int64 // per range: live row count
 	sum []float64
 	mn  []float64
 	mx  []float64 // nil when the store is weightless
@@ -116,121 +116,83 @@ type planScratch struct {
 
 // ProbeStats reports what one cover-plan execution actually touched.
 type ProbeStats struct {
-	// RangesProbed is the number of unique ranges whose span aggregates were
-	// computed — the shared probes all regions folded from.
+	// RangesProbed is the number of cover ranges whose span aggregates were
+	// computed — every range of every region.
 	RangesProbed int
 	// DeltaProbed is the number of live delta rows searched into the range
 	// list.
 	DeltaProbed int
 }
 
-// buildCoverPlan flattens per-region covers into the global plan.
+// buildCoverPlan stores the per-region covers region-major and derives the
+// boundary keys, stab lists and routing union from them.
 func buildCoverPlan(covers [][]raster.PosRange) *coverPlan {
-	total := 0
-	for _, rs := range covers {
-		total += len(rs)
-	}
-	type tagged struct {
-		r      raster.PosRange
-		region int32
-	}
-	all := make([]tagged, 0, total)
-	for ri, rs := range covers {
-		for _, r := range rs {
-			all = append(all, tagged{r, int32(ri)})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].r.Lo != all[b].r.Lo {
-			return all[a].r.Lo < all[b].r.Lo
-		}
-		if all[a].r.Hi != all[b].r.Hi {
-			return all[a].r.Hi < all[b].r.Hi
-		}
-		return all[a].region < all[b].region
-	})
-
-	p := &coverPlan{}
-	// Deduplicate identical (Lo, Hi) ranges; tag each pair with its unique
-	// index for the per-region lists below.
-	uniqOf := make([]int32, len(all))
-	p.postOff = append(p.postOff, 0)
-	for i, t := range all {
-		if i == 0 || t.r != all[i-1].r {
-			p.uniq = append(p.uniq, t.r)
-			p.postOff = append(p.postOff, int32(len(p.postings)))
-		}
-		uniqOf[i] = int32(len(p.uniq) - 1)
-		p.postings = append(p.postings, t.region)
-		p.postOff[len(p.postOff)-1] = int32(len(p.postings))
-	}
-	// Per-region unique-range lists: `all` is Lo-sorted and a region's own
-	// ranges are disjoint, so distributing in order preserves each region's
-	// Lo-ascending fold order.
-	p.regOff = make([]int32, len(covers)+1)
+	p := &coverPlan{regOff: make([]int32, len(covers)+1)}
 	for ri, rs := range covers {
 		p.regOff[ri+1] = p.regOff[ri] + int32(len(rs))
 	}
-	p.regUniq = make([]int32, total)
-	fill := make([]int32, len(covers))
-	copy(fill, p.regOff[:len(covers)])
-	for i, t := range all {
-		p.regUniq[fill[t.region]] = uniqOf[i]
-		fill[t.region]++
+	p.ranges = make([]raster.PosRange, 0, p.regOff[len(covers)])
+	for _, rs := range covers {
+		p.ranges = append(p.ranges, rs...)
 	}
 
-	// Boundary probe keys: Lo and Hi+1 per unique range, sorted and
-	// deduplicated. Hi = MaxUint64 cannot be probed as Hi+1; the sentinel -1
-	// resolves to the column end at query time.
-	keys := make([]uint64, 0, 2*len(p.uniq))
-	for _, r := range p.uniq {
+	// Boundary probe keys: Lo and Hi+1 per range, sorted and deduplicated.
+	// Hi = MaxUint64 cannot be probed as Hi+1; the sentinel -1 resolves to
+	// the column end at query time.
+	keys := make([]uint64, 0, 2*len(p.ranges))
+	for _, r := range p.ranges {
 		keys = append(keys, r.Lo)
 		if r.Hi != math.MaxUint64 {
 			keys = append(keys, r.Hi+1)
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	for _, k := range keys {
-		if n := len(p.bkeys); n == 0 || p.bkeys[n-1] != k {
-			p.bkeys = append(p.bkeys, k)
-		}
-	}
-	p.loB = make([]int32, len(p.uniq))
-	p.hiB = make([]int32, len(p.uniq))
-	for u, r := range p.uniq {
-		p.loB[u] = int32(sort.Search(len(p.bkeys), func(i int) bool { return p.bkeys[i] >= r.Lo }))
+	slices.Sort(keys)
+	p.bkeys = slices.Compact(keys)
+	p.loB = make([]int32, len(p.ranges))
+	p.hiB = make([]int32, len(p.ranges))
+	for u, r := range p.ranges {
+		lo, _ := slices.BinarySearch(p.bkeys, r.Lo)
+		p.loB[u] = int32(lo)
 		if r.Hi == math.MaxUint64 {
 			p.hiB[u] = -1
 		} else {
-			p.hiB[u] = int32(sort.Search(len(p.bkeys), func(i int) bool { return p.bkeys[i] >= r.Hi+1 }))
+			hi, _ := slices.BinarySearch(p.bkeys, r.Hi+1)
+			p.hiB[u] = int32(hi)
 		}
 	}
-	p.buildStab(len(covers))
+	// MergeRanges coalesces in place; clone its result so the union does not
+	// pin a second full-length copy of the ranges.
+	p.union = slices.Clone(raster.MergeRanges(slices.Clone(p.ranges)))
+	p.buildStab()
 	return p
 }
+
+// numRegions is the number of regions the plan covers.
+func (p *coverPlan) numRegions() int { return len(p.regOff) - 1 }
 
 // buildStab sweeps the boundary segments once, maintaining the set of
 // covered regions, and freezes each segment's region list. A region's
 // merged ranges are disjoint, so it is active at most once at any key and
 // each stab list holds it at most once — fan-out can never double-credit.
-func (p *coverPlan) buildStab(numReg int) {
+func (p *coverPlan) buildStab() {
 	type event struct {
 		key    uint64
 		region int32
 		open   bool
 	}
-	events := make([]event, 0, 2*len(p.postings))
-	for u, r := range p.uniq {
-		for _, ri := range p.postings[p.postOff[u]:p.postOff[u+1]] {
-			events = append(events, event{r.Lo, ri, true})
+	numReg := p.numRegions()
+	events := make([]event, 0, 2*len(p.ranges))
+	for ri := 0; ri < numReg; ri++ {
+		for _, r := range p.ranges[p.regOff[ri]:p.regOff[ri+1]] {
+			events = append(events, event{r.Lo, int32(ri), true})
 			if r.Hi != math.MaxUint64 {
 				// A MaxUint64-high range never closes; it stays active
 				// through the open-ended final segment.
-				events = append(events, event{r.Hi + 1, ri, false})
+				events = append(events, event{r.Hi + 1, int32(ri), false})
 			}
 		}
 	}
-	sort.Slice(events, func(a, b int) bool { return events[a].key < events[b].key })
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.key, b.key) })
 
 	active := make([]int32, 0, numReg) // regions covering the current segment
 	pos := make([]int32, numReg)       // index into active, or -1
@@ -263,24 +225,24 @@ func (p *coverPlan) buildStab(numReg int) {
 
 // memoryBytes is the plan's resident footprint.
 func (p *coverPlan) memoryBytes() int {
-	return 16*len(p.uniq) + 8*len(p.bkeys) +
-		4*(len(p.postOff)+len(p.postings)+len(p.loB)+len(p.hiB)+
-			len(p.regOff)+len(p.regUniq)+len(p.stabOff)+len(p.stabRegions))
+	return 16*(len(p.ranges)+len(p.union)) + 8*len(p.bkeys) +
+		4*(len(p.regOff)+len(p.loB)+len(p.hiB)+len(p.stabOff)+len(p.stabRegions))
 }
 
 // newScratch sizes a workspace for the plan; hasW decides whether the float
 // columns exist.
 //
 //distbound:allow-scratch-escape pool accessor; AggregateMultiInto returns the workspace to the pool before returning
-func (p *coverPlan) newScratch(numReg int, hasW bool) *planScratch {
+func (p *coverPlan) newScratch(hasW bool) *planScratch {
+	numReg := p.numRegions()
 	sc := &planScratch{
-		cnt:  make([]int64, len(p.uniq)),
+		cnt:  make([]int64, len(p.ranges)),
 		dCnt: make([]int64, numReg),
 	}
 	if hasW {
-		sc.sum = make([]float64, len(p.uniq))
-		sc.mn = make([]float64, len(p.uniq))
-		sc.mx = make([]float64, len(p.uniq))
+		sc.sum = make([]float64, len(p.ranges))
+		sc.mn = make([]float64, len(p.ranges))
+		sc.mx = make([]float64, len(p.ranges))
 		sc.dSum = make([]float64, numReg)
 		sc.dMn = make([]float64, numReg)
 		sc.dMx = make([]float64, numReg)
@@ -307,10 +269,10 @@ func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, wor
 	}
 	needs := needsOf(aggs)
 	p := j.plan
-	numReg := len(j.covers)
+	numReg := p.numRegions()
 	snap := j.src.Snapshot()
 	done := ctx.Done()
-	stats := ProbeStats{RangesProbed: len(p.uniq)}
+	stats := ProbeStats{RangesProbed: len(p.ranges)}
 
 	sc := j.scratch.Get().(*planScratch)
 	defer j.scratch.Put(sc)
@@ -328,7 +290,7 @@ func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, wor
 			return ProbeStats{}, err
 		}
 	} else {
-		for lo, n := 0, len(p.uniq); lo < n; lo += cancelStride {
+		for lo, n := 0, len(p.ranges); lo < n; lo += cancelStride {
 			if canceled(done) {
 				return ProbeStats{}, ctx.Err()
 			}
@@ -399,19 +361,19 @@ func (j *PointIdxJoiner) spansFor(ctx context.Context, snap *pointstore.Snapshot
 	return rs, nil
 }
 
-// refreshSpans is the incremental cover-plan maintenance step: every unique
+// refreshSpans is the incremental cover-plan maintenance step: every distinct
 // span boundary is resolved against snap's base column in a monotone sweep
 // (chunked across workers when asked), and the hiB = -1 sentinel becomes the
-// column end. The plan's range list, postings and stab lists are untouched —
-// they depend only on regions and bound — so this is all a compaction costs
-// the cover plan.
+// column end. The plan's range list, boundary keys and stab lists are
+// untouched — they depend only on regions and bound — so this is all a
+// compaction costs the cover plan.
 func (j *PointIdxJoiner) refreshSpans(ctx context.Context, snap *pointstore.Snapshot, workers int) (*resolvedSpans, error) {
 	p := j.plan
 	rs := &resolvedSpans{
 		base:     snap.BaseStore(),
 		resolved: make([]int, len(p.bkeys)),
-		spanLo:   make([]int, len(p.uniq)),
-		spanHi:   make([]int, len(p.uniq)),
+		spanLo:   make([]int, len(p.ranges)),
+		spanHi:   make([]int, len(p.ranges)),
 	}
 	if workers > 1 {
 		chunks := shardBounds(len(p.bkeys), workers)
@@ -430,7 +392,7 @@ func (j *PointIdxJoiner) refreshSpans(ctx context.Context, snap *pointstore.Snap
 		snap.SpanMulti(p.bkeys, rs.resolved)
 	}
 	baseLen := snap.BaseLen()
-	for u := range p.uniq {
+	for u := range p.ranges {
 		rs.spanLo[u] = rs.resolved[p.loB[u]]
 		if p.hiB[u] >= 0 {
 			rs.spanHi[u] = rs.resolved[p.hiB[u]]
@@ -441,7 +403,7 @@ func (j *PointIdxJoiner) refreshSpans(ctx context.Context, snap *pointstore.Snap
 	return rs, nil
 }
 
-// probeShards runs phase 2 across workers: the unique ranges are probed in
+// probeShards runs phase 2 across workers: the ranges are probed in
 // shards weighted by resolved span length, so one huge range cannot
 // serialize a worker behind a tail of small ones.
 func (j *PointIdxJoiner) probeShards(ctx context.Context, snap *pointstore.Snapshot, rs *resolvedSpans, sc *planScratch, needs aggNeeds, workers int) error {
@@ -451,7 +413,7 @@ func (j *PointIdxJoiner) probeShards(ctx context.Context, snap *pointstore.Snaps
 		// prefix lookups) so empty spans still count toward balance.
 		return int64(rs.spanHi[u]-rs.spanLo[u]) + 16
 	}
-	shards := pool.SplitWeighted(len(p.uniq), workers, spanLen, sc.shards)
+	shards := pool.SplitWeighted(len(p.ranges), workers, spanLen, sc.shards)
 	sc.shards = shards
 	return pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
 		done := ctx.Done()
@@ -465,8 +427,8 @@ func (j *PointIdxJoiner) probeShards(ctx context.Context, snap *pointstore.Snaps
 	})
 }
 
-// probeRanges computes the span aggregates of unique ranges [lo, hi) into the
-// scratch columns — the shared values every posting region folds from — via
+// probeRanges computes the span aggregates of ranges [lo, hi) into the
+// scratch columns — the per-range values the region folds read — via
 // the batched span folds, one pass per needed aggregate column. The span
 // bounds come from the shared resolution, which the caller has matched to
 // snap's base.
@@ -555,27 +517,33 @@ func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snaps
 	return probed, nil
 }
 
-// foldRegion folds one region's accumulators from the shared per-range
-// values (in the region's own Lo-ascending order, preserving the reference
+// foldRegion folds one region's accumulators from its own contiguous slice
+// of the per-range values (Lo-ascending, preserving the reference
 // execution's fold order) plus its delta accumulator, and writes the
 // region's slot of every result.
 //
 //distbound:noalloc
 func (j *PointIdxJoiner) foldRegion(sc *planScratch, needs aggNeeds, deltaAny bool, ri int, results []Result) {
-	p := j.plan
+	lo, hi := j.plan.regOff[ri], j.plan.regOff[ri+1]
 	var cnt int64
+	for _, c := range sc.cnt[lo:hi] {
+		cnt += c
+	}
 	var sum float64
+	if needs.sum {
+		for _, s := range sc.sum[lo:hi] {
+			sum += s
+		}
+	}
 	mn, mx := math.Inf(1), math.Inf(-1)
-	for _, u := range p.regUniq[p.regOff[ri]:p.regOff[ri+1]] {
-		cnt += sc.cnt[u]
-		if needs.sum {
-			sum += sc.sum[u]
+	if needs.min {
+		for _, v := range sc.mn[lo:hi] {
+			mn = math.Min(mn, v)
 		}
-		if needs.min {
-			mn = math.Min(mn, sc.mn[u])
-		}
-		if needs.max {
-			mx = math.Max(mx, sc.mx[u])
+	}
+	if needs.max {
+		for _, v := range sc.mx[lo:hi] {
+			mx = math.Max(mx, v)
 		}
 	}
 	if deltaAny {

@@ -3,11 +3,13 @@ package join
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/pointstore"
+	"distbound/internal/raster"
 	"distbound/internal/sfc"
 )
 
@@ -17,10 +19,10 @@ import (
 // executions associate the delta tail's float sums differently by design,
 // and exact weights make that difference invisible iff the selected points
 // agree — which is exactly what the test must pin.
-func checkPlanMatchesPerRegion(t *testing.T, label string, pj *PointIdxJoiner, aggs []Agg) {
+func checkPlanMatchesPerRegion(t *testing.T, label string, pj *PointIdxJoiner, regions []geom.Region, aggs []Agg) {
 	t.Helper()
 	ctx := context.Background()
-	want, err := pj.AggregateMultiPerRegion(ctx, aggs, 1)
+	want, err := pj.AggregateMultiPerRegion(ctx, referenceCovers(t, regions, pj), aggs, 1)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
@@ -66,13 +68,13 @@ func TestCoverPlanDeltaOnRangeBoundaries(t *testing.T) {
 	}
 	allAggs := []Agg{Count, Sum, Avg, Min, Max}
 
-	// Land one delta point exactly on every 16th unique range's Lo and Hi
-	// key (bounded count so the test stays fast), with distinct weights so a
+	// Land one delta point exactly on every 16th range's Lo and Hi key
+	// (bounded count so the test stays fast), with distinct weights so a
 	// mis-credited region would show up in SUM and MIN/MAX, not just COUNT.
 	var bPts []geom.Point
 	var bWs []float64
-	for u := 0; u < len(pj.plan.uniq); u += 16 {
-		r := pj.plan.uniq[u]
+	for u := 0; u < len(pj.plan.ranges); u += 16 {
+		r := pj.plan.ranges[u]
 		for _, pos := range []uint64{r.Lo, r.Hi} {
 			p := leafCenter(d, c, pos)
 			if got, ok := d.LeafPos(c, p); !ok || got != pos {
@@ -89,29 +91,33 @@ func TestCoverPlanDeltaOnRangeBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlanMatchesPerRegion(t, "boundary-delta", pj, allAggs)
+	checkPlanMatchesPerRegion(t, "boundary-delta", pj, regions, allAggs)
 
 	// Tombstone every third boundary row (dead delta rows must be skipped by
 	// the inversion exactly as the brute scan skips them) and a few base
-	// rows (spans must subtract them before the per-range values are shared).
+	// rows (spans must subtract them before the per-range values are folded).
 	var dead []uint64
 	for i := 0; i < len(ids); i += 3 {
 		dead = append(dead, ids[i])
 	}
 	dead = append(dead, 0, 7, 4242)
 	store.Delete(dead...)
-	checkPlanMatchesPerRegion(t, "tombstoned-delta", pj, allAggs)
+	checkPlanMatchesPerRegion(t, "tombstoned-delta", pj, regions, allAggs)
 
 	// Compaction folds everything into the base; both executions converge on
 	// the pure-span path.
 	store.Compact()
-	checkPlanMatchesPerRegion(t, "post-compaction", pj, allAggs)
+	checkPlanMatchesPerRegion(t, "post-compaction", pj, regions, allAggs)
 }
 
 // TestCoverPlanSparseRegions drives the inversion where most delta rows hit
 // no range at all (the miss path of the binary search + walk-back) and the
 // uncovered gaps between sparse regions are large: a handful of small,
 // disjoint query rectangles over a point cloud spanning the whole domain.
+// The second input shares keys between regions — a duplicated rectangle
+// (identical ranges) and one nested inside another (overlapping ranges) —
+// so one delta row fans out to several regions and one span is probed once
+// per region covering it.
 func TestCoverPlanSparseRegions(t *testing.T) {
 	pts, _ := data.TaxiPoints(43, 6000)
 	weights := make([]float64, len(pts))
@@ -131,80 +137,139 @@ func TestCoverPlanSparseRegions(t *testing.T) {
 		}
 		return poly
 	}
-	regions := []geom.Region{
+	sparse := []geom.Region{
 		mk(0.05, 0.05, 0.04, 0.03),
 		mk(0.60, 0.20, 0.02, 0.06),
 		mk(0.30, 0.75, 0.05, 0.05),
 	}
-	store, err := pointstore.NewMutable(pts[:3000], weights[:3000], d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := NewPointIdxJoiner(regions, store, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The whole second half of the pool lands in the delta tail; most of it
-	// falls outside every cover.
-	if _, err := store.Append(pts[3000:], weights[3000:]); err != nil {
-		t.Fatal(err)
-	}
+	shared := append(slices.Clone(sparse), mk(0.05, 0.05, 0.04, 0.03), mk(0.31, 0.76, 0.02, 0.02))
 	allAggs := []Agg{Count, Sum, Avg, Min, Max}
-	checkPlanMatchesPerRegion(t, "sparse-regions", pj, allAggs)
-
-	// The shared probes must agree with ground truth too, not only with the
-	// reference execution: counts can only overcount within the bound.
-	got, err := pj.AggregateMulti(context.Background(), []Agg{Count}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := PointSet{Pts: pts, Weights: weights}
-	exact, err := BruteForce(ps, regions, Count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri, rg := range regions {
-		if got[0].Counts[ri] < exact.Counts[ri] {
-			t.Errorf("region %d: plan count %d undercounts exact %d", ri, got[0].Counts[ri], exact.Counts[ri])
+	for _, in := range []struct {
+		name    string
+		regions []geom.Region
+	}{{"sparse-regions", sparse}, {"shared-ranges", shared}} {
+		regions := in.regions
+		store, err := pointstore.NewMutable(pts[:3000], weights[:3000], d, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var within int64
-		for _, p := range ps.Pts {
-			if rg.ContainsPoint(p) || rg.BoundaryDist(p) <= 16 {
-				within++
+		pj, err := NewPointIdxJoiner(regions, store, 16, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.name == "shared-ranges" {
+			p := pj.plan
+			if !slices.Equal(p.ranges[p.regOff[0]:p.regOff[1]], p.ranges[p.regOff[3]:p.regOff[4]]) {
+				t.Fatal("duplicated rectangle does not repeat region 0's ranges")
+			}
+			checkKeyRanges(t, pj.KeyRanges(), referenceCovers(t, regions, pj))
+		}
+		// The whole second half of the pool lands in the delta tail; most of
+		// it falls outside every cover.
+		ids, err := store.Append(pts[3000:], weights[3000:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlanMatchesPerRegion(t, in.name, pj, regions, allAggs)
+
+		// The plan must agree with ground truth too, not only with the
+		// reference execution: counts can only overcount within the bound.
+		got, err := pj.AggregateMulti(context.Background(), []Agg{Count}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := PointSet{Pts: pts, Weights: weights}
+		exact, err := BruteForce(ps, regions, Count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ri, rg := range regions {
+			if got[0].Counts[ri] < exact.Counts[ri] {
+				t.Errorf("%s region %d: plan count %d undercounts exact %d", in.name, ri, got[0].Counts[ri], exact.Counts[ri])
+			}
+			var within int64
+			for _, p := range ps.Pts {
+				if rg.ContainsPoint(p) || rg.BoundaryDist(p) <= 16 {
+					within++
+				}
+			}
+			if got[0].Counts[ri] > within {
+				t.Errorf("%s region %d: plan count %d exceeds the %d points within the bound", in.name, ri, got[0].Counts[ri], within)
 			}
 		}
-		if got[0].Counts[ri] > within {
-			t.Errorf("region %d: plan count %d exceeds the %d points within the bound", ri, got[0].Counts[ri], within)
+
+		// Dead delta rows and base tombstones under shared keys: every
+		// region covering a dead row must drop it.
+		var dead []uint64
+		for i := 0; i < len(ids); i += 5 {
+			dead = append(dead, ids[i])
+		}
+		dead = append(dead, 0, 11, 2024)
+		store.Delete(dead...)
+		checkPlanMatchesPerRegion(t, in.name+" tombstoned", pj, regions, allAggs)
+	}
+}
+
+// checkKeyRanges pins the routing list against independently rasterized
+// per-region covers: sorted, pairwise disjoint, and covering exactly their
+// union. Membership on both sides is constant between consecutive range
+// endpoints, so agreeing at every endpoint and its neighbours proves the
+// two key sets equal.
+func checkKeyRanges(t *testing.T, keys []raster.PosRange, covers [][]raster.PosRange) {
+	t.Helper()
+	if len(keys) == 0 {
+		t.Fatal("empty routing key ranges")
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i].Lo <= keys[i-1].Hi {
+			t.Fatalf("routing key ranges %v and %v are unsorted or overlap", keys[i-1], keys[i])
+		}
+	}
+	var probes []uint64
+	for _, rs := range append([][]raster.PosRange{keys}, covers...) {
+		for _, r := range rs {
+			probes = append(probes, r.Lo-1, r.Lo, r.Hi, r.Hi+1)
+		}
+	}
+	for _, k := range probes {
+		inUnion := false
+		for _, rs := range covers {
+			if coversKey(rs, k) {
+				inUnion = true
+				break
+			}
+		}
+		if got := coversKey(keys, k); got != inUnion {
+			t.Fatalf("key %d: in routing key ranges = %v, in union of covers = %v", k, got, inUnion)
 		}
 	}
 }
 
-// TestCoverPlanStats pins the plan-shape accounting the engine surfaces:
-// deduplication can only shrink the list, every unique range needs at most
-// two boundary probes, and probe stats report what a query touched.
+// TestCoverPlanStats pins the plan-shape accounting the engine surfaces: a
+// query probes every range, every range needs at most two boundary probes,
+// the routing key ranges are exactly the union of the per-region covers,
+// and probe stats report what a query touched.
 func TestCoverPlanStats(t *testing.T) {
 	_, regions, store := pointIdxFixture(t, 5000, true)
 	pj, err := NewPointIdxJoiner(regions, store, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, nb := pj.NumUniqueRanges(), pj.NumBoundaryProbes()
-	if u == 0 || u > pj.NumRanges() {
-		t.Errorf("unique ranges %d outside (0, %d]", u, pj.NumRanges())
+	n, nb := pj.NumRanges(), pj.NumBoundaryProbes()
+	if n == 0 || nb == 0 || nb > 2*n {
+		t.Errorf("boundary probes %d outside (0, %d] for %d ranges", nb, 2*n, n)
 	}
-	if nb == 0 || nb > 2*u {
-		t.Errorf("boundary probes %d outside (0, %d]", nb, 2*u)
-	}
-	if pj.MemoryBytes() <= 16*pj.NumRanges() {
+	if pj.MemoryBytes() <= 16*n {
 		t.Error("MemoryBytes does not account for the plan")
 	}
+	checkKeyRanges(t, pj.KeyRanges(), referenceCovers(t, regions, pj))
 	results := NewResults([]Agg{Count}, len(regions))
 	stats, err := pj.AggregateMultiInto(context.Background(), []Agg{Count}, 1, results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.RangesProbed != u || stats.DeltaProbed != 0 {
-		t.Errorf("compact probe stats {%d %d}, want {%d 0}", stats.RangesProbed, stats.DeltaProbed, u)
+	if stats.RangesProbed != n || stats.DeltaProbed != 0 {
+		t.Errorf("compact probe stats {%d %d}, want {%d 0}", stats.RangesProbed, stats.DeltaProbed, n)
 	}
 	// Live delta rows are probed; dead ones are not.
 	ids, err := store.Append([]geom.Point{geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(3, 3)}, []float64{1, 2, 3})
@@ -263,14 +328,14 @@ func TestCoverPlanWeightedFoldIsolation(t *testing.T) {
 	}
 	// Results must still be correct (and identical to the reference) under
 	// the weighted sharding.
-	checkPlanMatchesPerRegion(t, "weighted-fold", pj, []Agg{Count})
+	checkPlanMatchesPerRegion(t, "weighted-fold", pj, regions, []Agg{Count})
 }
 
 // TestResolvedSpansIncrementalMaintenance pins the sharing contract of the
 // span resolution: queries against one base — including under appends and
 // deletes, which never move base rows — reuse one published resolvedSpans;
 // a compaction's new base forces exactly one re-resolution, reusing the
-// plan's range list, postings and stab lists by identity; and results stay
+// plan's range list and stab lists by identity; and results stay
 // bit-identical to the reference execution across the switch.
 func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	pts, _ := data.TaxiPoints(31, 8000)
@@ -294,7 +359,7 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 		t.Fatal("construction resolved spans before any query")
 	}
 	aggs := []Agg{Count, Sum, Min, Max}
-	checkPlanMatchesPerRegion(t, "cold", pj, aggs)
+	checkPlanMatchesPerRegion(t, "cold", pj, regions, aggs)
 	rs1 := pj.spans.Load()
 	if rs1 == nil {
 		t.Fatal("first query published no span resolution")
@@ -310,14 +375,14 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	}
 	store.Delete(ids[:100]...)
 	store.Delete(3, 5, 7)
-	checkPlanMatchesPerRegion(t, "mutated-same-base", pj, aggs)
+	checkPlanMatchesPerRegion(t, "mutated-same-base", pj, regions, aggs)
 	if pj.spans.Load() != rs1 {
 		t.Fatal("append/delete re-resolved spans; only a base change should")
 	}
 
 	plan := pj.plan
 	store.Compact()
-	checkPlanMatchesPerRegion(t, "post-compaction", pj, aggs)
+	checkPlanMatchesPerRegion(t, "post-compaction", pj, regions, aggs)
 	rs2 := pj.spans.Load()
 	if rs2 == rs1 {
 		t.Fatal("compaction did not refresh the span resolution")
@@ -356,6 +421,7 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 	}
 	ctx := context.Background()
 	snap := store.Snapshot()
+	covers := referenceCovers(b, regions, pj)
 
 	b.Run("refresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -366,8 +432,8 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 	})
 	b.Run("fromscratch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan := buildCoverPlan(pj.covers)
-			if len(plan.uniq) != len(pj.plan.uniq) {
+			plan := buildCoverPlan(covers)
+			if len(plan.ranges) != len(pj.plan.ranges) {
 				b.Fatal("rebuilt plan diverged")
 			}
 			if _, err := pj.refreshSpans(ctx, snap, 1); err != nil {
@@ -378,7 +444,7 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 }
 
 // BenchmarkCoverPlan: the global cover-plan execution (one monotone
-// boundary sweep, deduplicated probes, inverted delta) against the
+// boundary sweep, batched span probes, inverted delta) against the
 // per-region reference execution (independent Span probes per region, delta
 // brute-scanned per region) on the same joiner, same snapshot, sequential on
 // both sides. The delta=50k configuration shows the inversion's win too: the
@@ -407,10 +473,11 @@ func BenchmarkCoverPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			covers := referenceCovers(b, regions, pj)
 			b.Run(fmt.Sprintf("%s/per-region/bound=%g", cfg.name, bound), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := pj.AggregateMultiPerRegion(ctx, aggs, 1); err != nil {
+					if _, err := pj.AggregateMultiPerRegion(ctx, covers, aggs, 1); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -345,12 +345,12 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 }
 
 // AggregateMulti computes every aggregate in aggs through the global cover
-// plan (coverplan.go): one monotone boundary sweep, one probe per unique
-// range shared by every region posting it, the delta tail inverted into the
-// range list once, and per-region folds partitioned by probe cost. COUNT/SUM
-// share the span lookups and prefix folds, MIN/MAX share the block scans.
-// One snapshot is loaded up front, so every aggregate of one call answers
-// over the same instant of the dataset.
+// plan (coverplan.go): one monotone boundary sweep, one probe per cover
+// range, the delta tail inverted into the range list once, and per-region
+// folds over each region's contiguous ranges, partitioned by probe cost.
+// COUNT/SUM share the span lookups and prefix folds, MIN/MAX share the block
+// scans. One snapshot is loaded up front, so every aggregate of one call
+// answers over the same instant of the dataset.
 func (j *PointIdxJoiner) AggregateMulti(ctx context.Context, aggs []Agg, workers int) ([]Result, error) {
 	if err := j.validateAggs(aggs); err != nil {
 		return nil, err
@@ -358,7 +358,7 @@ func (j *PointIdxJoiner) AggregateMulti(ctx context.Context, aggs []Agg, workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results := NewResults(aggs, len(j.covers))
+	results := NewResults(aggs, j.plan.numRegions())
 	if _, err := j.AggregateMultiInto(ctx, aggs, workers, results); err != nil {
 		return nil, err
 	}

@@ -6,18 +6,38 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"testing"
 
+	"distbound/internal/geom"
 	"distbound/internal/pointstore"
 	"distbound/internal/raster"
 )
 
+// referenceCovers rasterizes every region's conservative cover at the
+// joiner's bound over its dataset's domain and curve — independently of the
+// joiner's plan, so the reference execution below never reads the structure
+// it is checking.
+func referenceCovers(tb testing.TB, regions []geom.Region, j *PointIdxJoiner) [][]raster.PosRange {
+	tb.Helper()
+	covers := make([][]raster.PosRange, len(regions))
+	for ri, rg := range regions {
+		a, err := raster.Hierarchical(rg, j.src.Domain(), j.src.Curve(), j.bound, raster.Conservative)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		covers[ri] = a.Ranges()
+	}
+	return covers
+}
+
 // AggregateMultiPerRegion is the pre-plan reference execution: every region
-// independently probes its own cover ranges and brute-scans the delta tail.
-// It is the differential oracle the cover-plan execution is pinned against
-// (checkPlanMatchesPerRegion) — COUNT/MIN/MAX bit-identical, SUM/AVG
-// identical up to the delta tail's re-association — and the per-region side
-// of BenchmarkCoverPlan, which measures what the plan buys.
-func (j *PointIdxJoiner) AggregateMultiPerRegion(ctx context.Context, aggs []Agg, workers int) ([]Result, error) {
+// independently probes its own cover ranges (covers, from referenceCovers)
+// and brute-scans the delta tail. It is the differential oracle the
+// cover-plan execution is pinned against (checkPlanMatchesPerRegion) —
+// COUNT/MIN/MAX bit-identical, SUM/AVG identical up to the delta tail's
+// re-association — and the per-region side of BenchmarkCoverPlan, which
+// measures what the plan buys.
+func (j *PointIdxJoiner) AggregateMultiPerRegion(ctx context.Context, covers [][]raster.PosRange, aggs []Agg, workers int) ([]Result, error) {
 	if err := j.validateAggs(aggs); err != nil {
 		return nil, err
 	}
@@ -27,8 +47,8 @@ func (j *PointIdxJoiner) AggregateMultiPerRegion(ctx context.Context, aggs []Agg
 	needs := needsOf(aggs)
 	done := ctx.Done()
 	snap := j.src.Snapshot()
-	results := NewResults(aggs, len(j.covers))
-	shards := shardBounds(len(j.covers), workers)
+	results := NewResults(aggs, len(covers))
+	shards := shardBounds(len(covers), workers)
 	var wg sync.WaitGroup
 	for _, sh := range shards {
 		wg.Add(1)
@@ -38,7 +58,7 @@ func (j *PointIdxJoiner) AggregateMultiPerRegion(ctx context.Context, aggs []Agg
 				if canceled(done) {
 					return
 				}
-				j.aggregateRegion(snap, results, needs, ri)
+				aggregateRegion(snap, covers[ri], results, needs, ri)
 			}
 		}(sh[0], sh[1])
 	}
@@ -54,11 +74,10 @@ func (j *PointIdxJoiner) AggregateMultiPerRegion(ctx context.Context, aggs []Agg
 // only that region's slots of every result. Each Span is located once and
 // every needed aggregate folds from it — the shared-lookup economy of the
 // multi-aggregate path.
-func (j *PointIdxJoiner) aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds, ri int) {
+func aggregateRegion(snap *pointstore.Snapshot, ranges []raster.PosRange, results []Result, needs aggNeeds, ri int) {
 	var cnt int64
 	var sum float64
 	mn, mx := math.Inf(1), math.Inf(-1)
-	ranges := j.covers[ri]
 	for _, r := range ranges {
 		lo, hi := snap.Span(r.Lo, r.Hi)
 		if lo >= hi {

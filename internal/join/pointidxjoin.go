@@ -37,18 +37,15 @@ import (
 // the data — so one joiner stays valid across appends, deletes and
 // compactions of its dataset.
 type PointIdxJoiner struct {
-	src    *pointstore.Mutable
-	covers [][]raster.PosRange // merged leaf ranges per region
-	bound  float64
-	ranges int
+	src   *pointstore.Mutable
+	bound float64
 
-	// plan is the global cover plan (coverplan.go): all (region, range)
-	// pairs flattened into one sorted, deduplicated range list with region
-	// postings, plus the sorted boundary-key list one monotone sweep
-	// resolves. spans publishes the plan's current span resolution — shared
-	// by every query against one base, re-resolved incrementally when a
-	// compaction installs a new one. scratch recycles the per-query
-	// workspace sized for the plan.
+	// plan is the global cover plan (coverplan.go): every region's merged
+	// cover ranges stored once, region-major, each indexed into the sorted
+	// boundary-key list one monotone sweep resolves. spans publishes the
+	// plan's current span resolution — shared by every query against one
+	// base, re-resolved incrementally when a compaction installs a new one.
+	// scratch recycles the per-query workspace sized for the plan.
 	plan    *coverPlan
 	spans   atomic.Pointer[resolvedSpans]
 	scratch sync.Pool
@@ -58,7 +55,7 @@ type PointIdxJoiner struct {
 // dataset's domain and curve, fanning the per-region rasterization across
 // workers (≤ 0 selects GOMAXPROCS). The returned joiner is immutable and
 // safe for concurrent use; it reads a fresh snapshot of the dataset on every
-// Aggregate call.
+// query.
 //
 //distbound:allow-background context-free convenience over NewPointIdxJoinerCtx; callers hold no context to thread
 func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float64, workers int) (*PointIdxJoiner, error) {
@@ -72,29 +69,22 @@ func NewPointIdxJoinerCtx(ctx context.Context, regions []geom.Region, src *point
 	if !(eps > 0) {
 		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
 	}
-	j := &PointIdxJoiner{
-		src:    src,
-		covers: make([][]raster.PosRange, len(regions)),
-		bound:  eps,
-	}
+	covers := make([][]raster.PosRange, len(regions))
 	d, c := src.Domain(), src.Curve()
 	err := pool.RunCtx(ctx, len(regions), pool.Workers(workers, len(regions)), func(_, ri int) error {
 		a, err := raster.Hierarchical(regions[ri], d, c, eps, raster.Conservative)
 		if err != nil {
 			return err
 		}
-		j.covers[ri] = a.Ranges()
+		covers[ri] = a.Ranges()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, rs := range j.covers {
-		j.ranges += len(rs)
-	}
-	j.plan = buildCoverPlan(j.covers)
-	numReg, hasW, plan := len(regions), src.HasWeights(), j.plan
-	j.scratch.New = func() any { return plan.newScratch(numReg, hasW) }
+	j := &PointIdxJoiner{src: src, bound: eps, plan: buildCoverPlan(covers)}
+	hasW, plan := src.HasWeights(), j.plan
+	j.scratch.New = func() any { return plan.newScratch(hasW) }
 	return j, nil
 }
 
@@ -102,41 +92,29 @@ func NewPointIdxJoinerCtx(ctx context.Context, regions []geom.Region, src *point
 func (j *PointIdxJoiner) Bound() float64 { return j.bound }
 
 // NumRanges returns the total number of per-region merged cover ranges —
-// what the per-region reference execution probes.
-func (j *PointIdxJoiner) NumRanges() int { return j.ranges }
-
-// NumUniqueRanges returns the size of the deduplicated global range list —
-// what the cover-plan execution probes.
-func (j *PointIdxJoiner) NumUniqueRanges() int { return len(j.plan.uniq) }
+// what one cover-plan execution probes.
+func (j *PointIdxJoiner) NumRanges() int { return len(j.plan.ranges) }
 
 // NumBoundaryProbes returns how many distinct span boundaries one query
 // resolves against the key column — the monotone sweep's length.
 func (j *PointIdxJoiner) NumBoundaryProbes() int { return len(j.plan.bkeys) }
 
-// UniqueRanges returns the cover plan's deduplicated global range list,
-// sorted by (Lo, Hi) ascending — the key intervals a query at this joiner's
+// KeyRanges returns the merged union of every region's cover ranges, sorted
+// by Lo and pairwise disjoint — the key intervals a query at this joiner's
 // bound can ever touch, which is what a shard router intersects against its
 // shards' key boundaries. The slice is the plan's own backing storage;
 // callers must treat it as read-only.
-func (j *PointIdxJoiner) UniqueRanges() []raster.PosRange { return j.plan.uniq }
+func (j *PointIdxJoiner) KeyRanges() []raster.PosRange { return j.plan.union }
 
-// MemoryBytes returns the cover artifact's footprint — the per-region
-// ranges (16 bytes each), the global cover plan, and the current span
-// resolution if one is published — excluding the shared dataset.
+// MemoryBytes returns the cover artifact's footprint — the global cover plan
+// and the current span resolution if one is published — excluding the
+// shared dataset.
 func (j *PointIdxJoiner) MemoryBytes() int {
-	n := 16*j.ranges + j.plan.memoryBytes()
+	n := j.plan.memoryBytes()
 	if rs := j.spans.Load(); rs != nil {
 		n += rs.memoryBytes()
 	}
 	return n
-}
-
-// validate mirrors PointSet.validate for the resident dataset.
-func (j *PointIdxJoiner) validate(agg Agg) error {
-	if agg != Count && !j.src.HasWeights() {
-		return fmt.Errorf("join: %v requires a weight column", agg)
-	}
-	return nil
 }
 
 // validateAggs checks a whole aggregate set against the dataset's weight
@@ -146,30 +124,9 @@ func (j *PointIdxJoiner) validateAggs(aggs []Agg) error {
 		return fmt.Errorf("join: no aggregates requested")
 	}
 	for _, a := range aggs {
-		if err := j.validate(a); err != nil {
-			return err
+		if a != Count && !j.src.HasWeights() {
+			return fmt.Errorf("join: %v requires a weight column", a)
 		}
 	}
 	return nil
-}
-
-// Aggregate answers the aggregation for every region by probing the learned
-// index over the region's cover ranges.
-func (j *PointIdxJoiner) Aggregate(agg Agg) (Result, error) {
-	return j.AggregateParallel(agg, 1)
-}
-
-// AggregateParallel is Aggregate sharded across workers (≤ 0 selects
-// GOMAXPROCS) by region. One snapshot is loaded up front, so every region of
-// one call sees the same instant of the dataset; every region is computed
-// wholly by one worker, so results — including float sums — are identical
-// for any worker count.
-//
-//distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
-func (j *PointIdxJoiner) AggregateParallel(agg Agg, workers int) (Result, error) {
-	rs, err := j.AggregateMulti(context.Background(), []Agg{agg}, workers)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
 }

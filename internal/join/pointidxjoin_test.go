@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,10 +50,11 @@ func TestPointIdxMatchesACTBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := pj.Aggregate(agg)
+			res, err := pj.AggregateMulti(context.Background(), []Agg{agg}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := res[0]
 			for ri := range regions {
 				if got.Counts[ri] != want.Counts[ri] {
 					t.Fatalf("bound %g %v region %d: count %d != ACT %d",
@@ -92,10 +94,11 @@ func TestPointIdxWithinBoundGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pj.Aggregate(agg)
+		res, err := pj.AggregateMulti(context.Background(), []Agg{agg}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res[0]
 		for ri, rg := range regions {
 			// Conservative covers admit no false negatives: every exactly
 			// contained point is counted.
@@ -147,16 +150,19 @@ func TestPointIdxParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, agg := range []Agg{Count, Sum, Avg, Min, Max} {
-		seq, err := pj.Aggregate(agg)
+		res, err := pj.AggregateMulti(ctx, []Agg{agg}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seq := res[0]
 		for _, workers := range []int{0, 2, 7, 64} {
-			par, err := pj.AggregateParallel(agg, workers)
+			res, err := pj.AggregateMulti(ctx, []Agg{agg}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
+			par := res[0]
 			for ri := range regions {
 				if par.Counts[ri] != seq.Counts[ri] {
 					t.Fatalf("%v workers=%d region %d: count drift", agg, workers, ri)
@@ -179,11 +185,12 @@ func TestPointIdxValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pj.Aggregate(Count); err != nil {
+	ctx := context.Background()
+	if _, err := pj.AggregateMulti(ctx, []Agg{Count}, 1); err != nil {
 		t.Errorf("COUNT on a weightless store failed: %v", err)
 	}
 	for _, agg := range []Agg{Sum, Avg, Min, Max} {
-		if _, err := pj.Aggregate(agg); err == nil {
+		if _, err := pj.AggregateMulti(ctx, []Agg{agg}, 1); err == nil {
 			t.Errorf("%v on a weightless store accepted", agg)
 		}
 	}

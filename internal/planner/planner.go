@@ -176,8 +176,8 @@ type CostModel struct {
 	// un-compacted delta row into the cover plan's global merged range list.
 	// The inverted delta join pays it DeltaPoints × log2(ranges) times per
 	// query — each live delta row is located once and fanned out to the
-	// regions posting its range, instead of every region re-scanning the
-	// whole delta.
+	// regions whose covers contain it, instead of every region re-scanning
+	// the whole delta.
 	DeltaProbe float64
 }
 
@@ -297,11 +297,9 @@ func (m CostModel) Estimate(q Query, s Strategy) Cost {
 // means "no resident cover plan is built yet"; Explain prints the
 // cover-plan line only when the stats are real, never estimated.
 type CoverStats struct {
-	// Ranges is the total per-region cover range count.
+	// Ranges is the total per-region cover range count — the probe count
+	// one query pays.
 	Ranges int
-	// Unique is the size of the deduplicated global range list — the probe
-	// count one query pays.
-	Unique int
 	// Boundaries is the number of distinct span boundaries the monotone
 	// sweep resolves.
 	Boundaries int
@@ -401,8 +399,8 @@ func (p Plan) Explain() string {
 		}
 	}
 	if p.Cover != (CoverStats{}) {
-		out += fmt.Sprintf("\ncover-plan: %d region-ranges → %d unique, %d boundary probes per query",
-			p.Cover.Ranges, p.Cover.Unique, p.Cover.Boundaries)
+		out += fmt.Sprintf("\ncover-plan: %d ranges, %d boundary probes per query",
+			p.Cover.Ranges, p.Cover.Boundaries)
 	}
 	if p.DeltaFraction > 0 {
 		out += fmt.Sprintf("\ndelta: %.1f%% of resident points await compaction (pointidx per-run cost includes the inverted delta join)",

@@ -21,8 +21,10 @@
 package raster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"distbound/internal/geom"
@@ -127,7 +129,7 @@ func MergeRanges(rs []PosRange) []PosRange {
 	if len(rs) == 0 {
 		return nil
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	slices.SortFunc(rs, func(a, b PosRange) int { return cmp.Compare(a.Lo, b.Lo) })
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]

@@ -1,9 +1,9 @@
 // Package shard partitions a resident point dataset into N contiguous
 // SFC-key-range shards, each backed by its own engine and registered
 // dataset, and answers distance-bounded aggregation queries by scatter-
-// gather: the query's cover plan — the deduplicated, sorted global range
-// list every bound-ε execution probes — is intersected against the shards'
-// key boundaries, only intersecting shards are contacted, and their partial
+// gather: the merged union of the query's cover ranges — every key a
+// bound-ε execution can probe — is intersected against the shards' key
+// boundaries, only intersecting shards are contacted, and their partial
 // per-region aggregates merge exactly.
 //
 // Merge guarantees, relative to the same query on one unsharded engine over
@@ -464,7 +464,8 @@ func (s *Sharded) EpochSum() uint64 {
 }
 
 // route returns the indexes of shards whose key interval intersects any
-// cover range. ranges is sorted by Lo ascending and shard intervals are
+// cover range. ranges (Engine.CoverKeyRanges: the merged union of the
+// cover ranges) is sorted by Lo ascending and shard intervals are
 // contiguous ascending, so one forward pointer suffices: a range whose Hi
 // precedes the current shard can never intersect a later one, and once the
 // first surviving range starts past the shard's end, no later range (all

@@ -76,8 +76,8 @@ type Response struct {
 	Build time.Duration
 	// Wall is the request's total execution time.
 	Wall time.Duration
-	// RangesProbed counts the unique cover-plan ranges the request resolved
-	// against the resident key column; DeltaProbed counts the live delta
+	// RangesProbed counts the cover ranges — every range of every region —
+	// the request probed against the resident key column; DeltaProbed counts the live delta
 	// rows searched into the range list. Both are 0 for strategies other
 	// than pointidx — the probe economy they meter is the resident path's.
 	RangesProbed int
@@ -260,7 +260,6 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 			// it so Explain reports what a pointidx run will actually probe.
 			cover = planner.CoverStats{
 				Ranges:     j.NumRanges(),
-				Unique:     j.NumUniqueRanges(),
 				Boundaries: j.NumBoundaryProbes(),
 			}
 		}
